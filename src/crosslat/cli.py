@@ -38,7 +38,9 @@ from .errors import (
 )
 from .flags import MAX_DEGREE, is_flag_symmetric
 from .theorem_suite import (
+    HYPOTHESIS_NOTES,
     SCAN_FUNCTIONS,
+    SCAN_RULES,
     charpoly_formula,
     combinatorially_smooth_typeA,
     construct_m_chain,
@@ -47,18 +49,8 @@ from .theorem_suite import (
     supersolvability_criterion,
 )
 
-# Scans whose disagreements are proved-theorem violations, hence defects.
-THEOREM_SCANS = frozenset({"theorems", "supersolvable", "circuit", "distributive-count"})
-
-# Notes marking rows outside a statement's hypothesis; such rows are
-# reported but never counted as disagreements.
-HYPOTHESIS_FLAGS = frozenset({"no-adjacent-free-pair", "single-free-node"})
-
-# Scans that leave out the degenerate full-j0 configuration (one per n).
-SCANS_SKIPPING_DEGENERATE = frozenset(
-    {"charpoly", "chains", "distributive-count", "inner-product", "circuit"})
-
-SCAN_MIN_N = {"circuit": 3}
+# Keys a --config file may set: the long option names without their dashes.
+CONFIG_KEYS = ("graph", "family", "j0", "n-max", "format", "out", "jobs")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -132,7 +124,6 @@ def _parse_int(text: str) -> int:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    allowed = {"graph", "family", "j0", "n-max", "format", "out", "jobs"}
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -143,7 +134,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise CrossLatError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             key = key.strip()
-            if key not in allowed:
+            if key not in CONFIG_KEYS:
                 raise CrossLatError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
@@ -152,17 +143,10 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _apply_config_defaults(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
-    conf = _read_config_file(args.config)
-    mapping = {
-        "graph": "graph", "family": "family", "j0": "j0", "n-max": "n_max",
-        "format": "format", "out": "out", "jobs": "jobs",
-    }
-    for key, attr in mapping.items():
-        if key in conf and getattr(args, attr, None) is None:
-            if attr in ("n_max", "jobs"):
-                setattr(args, attr, _parse_int(conf[key]))
-            else:
-                setattr(args, attr, conf[key])
+    for key, value in _read_config_file(args.config).items():
+        attr = key.replace("-", "_")
+        if getattr(args, attr, None) is None:
+            setattr(args, attr, _parse_int(value) if attr in ("n_max", "jobs") else value)
 
 
 class _Output:
@@ -356,18 +340,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     kind = parse_family_literal(args.family)
     if args.n_max is None:
         raise CrossLatError("--n-max is required")
-    n_max = args.n_max
-    n_min = SCAN_MIN_N.get(args.scan_name, 1)
+    rule = SCAN_RULES[args.scan_name]
+    # one chunk per n, checked before any of them runs
+    chunks = rule.n_range(kind, args.n_max)
+    names, kinds = [args.scan_name] * len(chunks), [kind] * len(chunks)
     jobs = args.jobs or 1
-
-    if jobs > 1 and n_max >= n_min:
-        chunks = list(range(n_min, n_max + 1))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_chunk, [args.scan_name] * len(chunks),
-                                  [kind] * len(chunks), chunks))
-        rows = [r for part in parts for r in part]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            parts = list(pool.map(_scan_chunk, names, kinds, chunks))
     else:
-        rows = SCAN_FUNCTIONS[args.scan_name](kind, n_max, n_min=n_min)
+        parts = list(map(_scan_chunk, names, kinds, chunks))
+    rows = [r for part in parts for r in part]
 
     dicts = [r.to_row() for r in rows]
     fmt = args.format or "text"
@@ -384,16 +367,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CrossLatError(f"scan does not support format {fmt!r}")
 
     agree = sum(1 for d in dicts if d["agree"])
-    flagged = sum(1 for d in dicts if d["note"] in HYPOTHESIS_FLAGS)
+    flagged = sum(1 for d in dicts if d["note"] in HYPOTHESIS_NOTES)
     disagree = sum(
-        1 for d in dicts if not d["agree"] and d["note"] not in HYPOTHESIS_FLAGS)
-    skipped = (n_max - n_min + 1) if args.scan_name in SCANS_SKIPPING_DEGENERATE else 0
+        1 for d in dicts if not d["agree"] and d["note"] not in HYPOTHESIS_NOTES)
+    skipped = len(chunks) if rule.skips_degenerate else 0
     out = _Output(args.out)
     out.write_data(body)
     out.write_summary(
         f"rows={len(dicts)} agree={agree} disagree={disagree} "
         f"flagged={flagged} degenerate-skipped={skipped}")
-    if disagree and args.scan_name in THEOREM_SCANS:
+    if disagree and rule.theorem_grade:
         return EXIT_BREACH
     return EXIT_OK
 

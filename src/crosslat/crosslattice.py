@@ -9,7 +9,7 @@ reach outside j0.  Elements are single int bitmasks throughout.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .diagram import CoxeterGraph, connected_components, iter_nodes, node_bit
 from .errors import EmptyIntervalError, MembershipError, SizeLimitError

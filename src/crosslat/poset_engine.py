@@ -390,13 +390,6 @@ class FinitePoset:
 
     # -- complements, atomicity, booleanness ---------------------------------
 
-    def is_complemented(self) -> bool:
-        t = self._require_lattice()
-        if self.bottom is None or self.top is None:
-            raise PreconditionError("complements need bottom and top")
-        hit = (t.join == self.top) & (t.meet == self.bottom)
-        return bool(hit.any(axis=1).all())
-
     def is_relatively_complemented(self) -> bool:
         """Every interval [x, y] is a complemented lattice, by direct search."""
         t = self._require_lattice()
@@ -561,13 +554,6 @@ class FinitePoset:
     def dual(self) -> "FinitePoset":
         labels = self.labels
         return FinitePoset(self.leq.T.copy(), labels=labels, validate=False)
-
-    def subposet(self, indices: Sequence[int]) -> "FinitePoset":
-        idx = np.asarray([self._check_index(i) for i in indices], dtype=np.int64)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[int(i)] for i in idx)
-        return FinitePoset(self.leq[np.ix_(idx, idx)], labels=labels, validate=False)
 
     def interval_indices(self, x: int, y: int) -> list[int]:
         x = self._check_index(x)

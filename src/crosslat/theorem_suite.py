@@ -43,6 +43,12 @@ from .poset_engine import CharPolynomial, chain_product_poset, posets_isomorphic
 
 MAX_SCAN_NODES = 12
 
+# Notes marking rows outside a statement's hypothesis; such rows are
+# reported but never counted as disagreements.
+NO_ADJACENT_FREE_PAIR = "no-adjacent-free-pair"
+SINGLE_FREE_NODE = "single-free-node"
+HYPOTHESIS_NOTES = frozenset({NO_ADJACENT_FREE_PAIR, SINGLE_FREE_NODE})
+
 
 @dataclass(frozen=True)
 class CriterionReport:
@@ -262,7 +268,7 @@ def conjecture_chains_check(lat: CrossSectionLattice) -> CriterionReport:
         value=str(expected),
         oracle=str(actual) if actual is not None else "not-a-chain-product",
         agree=same_type and iso,
-        note="single-free-node" if flagged else "",
+        note=SINGLE_FREE_NODE if flagged else "",
     )
 
 
@@ -337,104 +343,126 @@ def circuit_analysis(lat: CrossSectionLattice) -> CircuitAnalysis:
 # -- scans -------------------------------------------------------------------------
 
 
-def _check_scan_range(n_max: int, n_min: int = 1) -> None:
-    if n_max > MAX_SCAN_NODES:
-        raise SizeLimitError(f"scans are capped at {MAX_SCAN_NODES} nodes")
-    if n_max < n_min:
-        raise InvalidSizeError(f"n_max must be at least {n_min}")
+@dataclass(frozen=True)
+class ScanRule:
+    """How a scan is graded and which configurations it covers.
+
+    A disagreement on a theorem-grade scan is a defect; on a
+    conjecture-grade scan it is a recorded counterexample.  A scan that
+    skips the degenerate j0 leaves out the full node set, one
+    configuration per n.
+    """
+
+    theorem_grade: bool
+    skips_degenerate: bool
+    families: tuple[str, ...] = PATH_KINDS
+    n_min: int = 1
+
+    def n_range(self, kind: str, n_max: int, n_min: int = 1) -> range:
+        """The node counts a scan of ``kind`` up to ``n_max`` runs over."""
+        if kind not in self.families:
+            names = ", ".join(f.replace("_", " ") for f in self.families)
+            raise UnsupportedGraphError(f"scan runs on {names}, not {kind.replace('_', ' ')}")
+        n_min = max(n_min, self.n_min)
+        if n_max > MAX_SCAN_NODES:
+            raise SizeLimitError(f"scans are capped at {MAX_SCAN_NODES} nodes")
+        if n_max < n_min:
+            raise InvalidSizeError(f"n_max must be at least {n_min}")
+        return range(n_min, n_max + 1)
 
 
-def _path_configs(kind: str, n_min: int, n_max: int,
-                  skip_degenerate: bool) -> Iterator[CrossSectionLattice]:
-    for n in range(n_min, n_max + 1):
+def _configs_by_n(scan: str, kind: str, n_min: int, n_max: int
+                  ) -> Iterator[tuple[CoxeterGraph, Iterator[CrossSectionLattice]]]:
+    """Each n's graph and configurations, in increasing n and j0."""
+    rule = SCAN_RULES[scan]
+    for n in rule.n_range(kind, n_max, n_min):
         g = family_graph(kind, n)
-        for j0 in range(1 << n):
-            if skip_degenerate and j0 == g.full_mask:
-                continue
-            yield CrossSectionLattice(g, j0)
+        j0s = range(g.full_mask) if rule.skips_degenerate else range(g.full_mask + 1)
+        yield g, (CrossSectionLattice(g, j0) for j0 in j0s)
 
 
 def theorem_equivalence_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Every closed-form criterion against its engine oracle, all j0."""
-    _check_scan_range(n_max, n_min)
     rows: list[CriterionReport] = []
-    for lat in _path_configs(kind, n_min, n_max, skip_degenerate=False):
-        poset = lat.to_poset()
-        g = lat.graph
-        n = g.n
-
-        def report(criterion: str, value: str, oracle: str, note: str = "") -> None:
-            rows.append(CriterionReport(g.kind, n, lat.j0, criterion,
-                                        value, oracle, value == oracle, note))
-
-        leq = poset.leq
-        mismatch = 0
-        for xi in range(poset.size):
-            for yi in np.where(leq[xi, :])[0]:
-                inter = poset.interval_poset(xi, int(yi))
-                crit = relcomp_criterion(lat, lat.elements[xi], lat.elements[int(yi)])
-                flags = {crit, inter.is_relatively_complemented(),
-                         inter.is_atomic(), inter.is_boolean()}
-                if len(flags) != 1:
-                    mismatch += 1
-        report("interval_relcomp_atomic_boolean",
-               "ok" if not mismatch else f"{mismatch} mismatches", "ok")
-
-        mismatch = 0
-        for xi in range(poset.size):
-            for yi in range(poset.size):
-                formula = mobius_formula(lat, lat.elements[xi], lat.elements[yi])
-                if formula != poset.mobius(xi, yi):
-                    mismatch += 1
-        report("interval_mobius_formula",
-               "ok" if not mismatch else f"{mismatch} mismatches", "ok")
-
-        crit_ji = {u for u in lat.elements[1:] if join_irreducible_criterion(lat, u)}
-        brute_ji = {lat.elements[i] for i in poset.join_irreducibles()}
-        report("join_irreducible_set",
-               "ok" if crit_ji == brute_ji else "set mismatch", "ok")
-
-        mismatch = 0
-        for i, u in enumerate(lat.elements):
-            for j, v in enumerate(lat.elements):
-                if lat.meet(u, v) != lat.elements[poset.meet(i, j)]:
-                    mismatch += 1
-                if lat.join(u, v) != lat.elements[poset.join(i, j)]:
-                    mismatch += 1
-        report("meet_glb_formula",
-               "ok" if not mismatch else f"{mismatch} mismatches", "ok")
-
-        ranks = np.asarray(poset.rank())
-        jt = np.asarray([[poset.join(i, j) for j in range(poset.size)]
-                         for i in range(poset.size)])
-        mt = np.asarray([[poset.meet(i, j) for j in range(poset.size)]
-                         for i in range(poset.size)])
-        rank_ok = bool(
-            (ranks[:, None] + ranks[None, :] >= ranks[jt] + ranks[mt]).all())
-        report("upper_semimodularity",
-               str(poset.is_upper_semimodular()), str(rank_ok))
-
-        report("distributivity_free_connected",
-               str(distributivity_criterion(lat)),
-               str(poset.is_distributive_lattice()))
-
-        if is_standard_path(g):
-            brute, _ = poset.is_supersolvable_bruteforce()
-            report("supersolvable_end_or_singleton",
-                   str(supersolvability_criterion(lat)), str(brute))
+    for _, lats in _configs_by_n("theorems", kind, n_min, n_max):
+        for lat in lats:
+            _theorem_rows(lat, rows)
     return rows
+
+
+def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None:
+    poset = lat.to_poset()
+    g = lat.graph
+
+    def report(criterion: str, value: str, oracle: str) -> None:
+        rows.append(CriterionReport(g.kind, g.n, lat.j0, criterion,
+                                    value, oracle, value == oracle))
+
+    leq = poset.leq
+    mismatch = 0
+    for xi in range(poset.size):
+        for yi in np.where(leq[xi, :])[0]:
+            inter = poset.interval_poset(xi, int(yi))
+            crit = relcomp_criterion(lat, lat.elements[xi], lat.elements[int(yi)])
+            flags = {crit, inter.is_relatively_complemented(),
+                     inter.is_atomic(), inter.is_boolean()}
+            if len(flags) != 1:
+                mismatch += 1
+    report("interval_relcomp_atomic_boolean",
+           "ok" if not mismatch else f"{mismatch} mismatches", "ok")
+
+    mismatch = 0
+    for xi in range(poset.size):
+        for yi in range(poset.size):
+            formula = mobius_formula(lat, lat.elements[xi], lat.elements[yi])
+            if formula != poset.mobius(xi, yi):
+                mismatch += 1
+    report("interval_mobius_formula",
+           "ok" if not mismatch else f"{mismatch} mismatches", "ok")
+
+    crit_ji = {u for u in lat.elements[1:] if join_irreducible_criterion(lat, u)}
+    brute_ji = {lat.elements[i] for i in poset.join_irreducibles()}
+    report("join_irreducible_set",
+           "ok" if crit_ji == brute_ji else "set mismatch", "ok")
+
+    # one pass over pairs checks the meet/join formulas and the rank
+    # inequality r(x) + r(y) >= r(x v y) + r(x ^ y)
+    ranks = poset.rank()
+    mismatch = 0
+    rank_ok = True
+    for i, u in enumerate(lat.elements):
+        for j, v in enumerate(lat.elements):
+            m, jn = poset.meet(i, j), poset.join(i, j)
+            if lat.meet(u, v) != lat.elements[m]:
+                mismatch += 1
+            if lat.join(u, v) != lat.elements[jn]:
+                mismatch += 1
+            if ranks[i] + ranks[j] < ranks[jn] + ranks[m]:
+                rank_ok = False
+    report("meet_glb_formula",
+           "ok" if not mismatch else f"{mismatch} mismatches", "ok")
+    report("upper_semimodularity",
+           str(poset.is_upper_semimodular()), str(rank_ok))
+
+    report("distributivity_free_connected",
+           str(distributivity_criterion(lat)),
+           str(poset.is_distributive_lattice()))
+
+    brute, _ = poset.is_supersolvable_bruteforce()
+    report("supersolvable_end_or_singleton",
+           str(supersolvability_criterion(lat)), str(brute))
 
 
 def supersolvable_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Path criterion against the modular-chain search, all j0."""
-    _check_scan_range(n_max, n_min)
     rows = []
-    for lat in _path_configs(kind, n_min, n_max, skip_degenerate=False):
-        crit = supersolvability_criterion(lat)
-        brute, _ = lat.to_poset().is_supersolvable_bruteforce()
-        rows.append(CriterionReport(lat.graph.kind, lat.graph.n, lat.j0,
-                                    "supersolvable_end_or_singleton",
-                                    str(crit), str(brute), crit == brute))
+    for _, lats in _configs_by_n("supersolvable", kind, n_min, n_max):
+        for lat in lats:
+            crit = supersolvability_criterion(lat)
+            brute, _ = lat.to_poset().is_supersolvable_bruteforce()
+            rows.append(CriterionReport(lat.graph.kind, lat.graph.n, lat.j0,
+                                        "supersolvable_end_or_singleton",
+                                        str(crit), str(brute), crit == brute))
     return rows
 
 
@@ -444,26 +472,22 @@ def conjecture_charpoly_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crit
     Degenerate j0 (the full node set) is skipped: it corresponds to a
     zero highest weight, which the monoid setting excludes.
     """
-    _check_scan_range(n_max, n_min)
     rows = []
-    for lat in _path_configs(kind, n_min, n_max, skip_degenerate=True):
-        direct = lat.to_poset().characteristic_polynomial()
-        formula = charpoly_formula(lat)
-        rows.append(CriterionReport(lat.graph.kind, lat.graph.n, lat.j0,
-                                    "charpoly_product_form",
-                                    str(formula), str(direct), formula == direct))
+    for _, lats in _configs_by_n("charpoly", kind, n_min, n_max):
+        for lat in lats:
+            direct = lat.to_poset().characteristic_polynomial()
+            formula = charpoly_formula(lat)
+            rows.append(CriterionReport(lat.graph.kind, lat.graph.n, lat.j0,
+                                        "charpoly_product_form",
+                                        str(formula), str(direct), formula == direct))
     return rows
 
 
 def conjecture_chains_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Chain-product prediction on every distributive nondegenerate config."""
-    _check_scan_range(n_max, n_min)
-    rows = []
-    for lat in _path_configs(kind, n_min, n_max, skip_degenerate=True):
-        if not distributivity_criterion(lat):
-            continue
-        rows.append(conjecture_chains_check(lat))
-    return rows
+    return [conjecture_chains_check(lat)
+            for _, lats in _configs_by_n("chains", kind, n_min, n_max)
+            for lat in lats if distributivity_criterion(lat)]
 
 
 def partition_count(n: int) -> int:
@@ -481,17 +505,12 @@ def partition_count(n: int) -> int:
 def distributive_count_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Distinct chain-product lattices per n: factorization types against
     a brute isomorphism classification."""
-    _check_scan_range(n_max, n_min)
     rows = []
-    for n in range(n_min, n_max + 1):
-        g = family_graph(kind, n)
+    for g, lats in _configs_by_n("distributive-count", kind, n_min, n_max):
         types = set()
         product_posets = []
         nonproduct_posets = []
-        for j0 in range(1 << n):
-            if j0 == g.full_mask:
-                continue
-            lat = CrossSectionLattice(g, j0)
+        for lat in lats:
             if not distributivity_criterion(lat):
                 continue
             poset = lat.to_poset()
@@ -512,10 +531,10 @@ def distributive_count_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crite
         brute_classes = iso_classes(product_posets)
         extra = iso_classes(nonproduct_posets)
         rows.append(CriterionReport(
-            g.kind, n, 0, "distributive_class_count",
+            g.kind, g.n, 0, "distributive_class_count",
             str(len(types)), str(brute_classes),
             len(types) == brute_classes,
-            note=f"partitions={partition_count(n)};nonproduct_classes={extra}"))
+            note=f"partitions={partition_count(g.n)};nonproduct_classes={extra}"))
     return rows
 
 
@@ -525,23 +544,23 @@ def inner_product_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionR
     Reported for inspection, not a theorem check: agree stays False on
     every row with at least two free nodes.
     """
-    _check_scan_range(n_max, n_min)
     rows = []
-    for lat in _path_configs(kind, n_min, n_max, skip_degenerate=True):
-        poset = lat.to_poset()
-        if poset.rank_of_top() < 2:
-            continue
-        beta1 = flag_beta(poset).get((1,), 0)
-        free_count = (lat.graph.full_mask & ~lat.j0).bit_count()
-        rows.append(CriterionReport(
-            lat.graph.kind, lat.graph.n, lat.j0,
-            "flag_beta1_vs_free_count",
-            str(beta1), str(free_count), beta1 == free_count,
-            note=f"beta1_plus_1={beta1 + 1};atoms={len(poset.atoms())}"))
+    for _, lats in _configs_by_n("inner-product", kind, n_min, n_max):
+        for lat in lats:
+            poset = lat.to_poset()
+            if poset.rank_of_top() < 2:
+                continue
+            beta1 = flag_beta(poset).get((1,), 0)
+            free_count = (lat.graph.full_mask & ~lat.j0).bit_count()
+            rows.append(CriterionReport(
+                lat.graph.kind, lat.graph.n, lat.j0,
+                "flag_beta1_vs_free_count",
+                str(beta1), str(free_count), beta1 == free_count,
+                note=f"beta1_plus_1={beta1 + 1};atoms={len(poset.atoms())}"))
     return rows
 
 
-def circuit_scan(kind: str, n_max: int, n_min: int = 3) -> list[CriterionReport]:
+def circuit_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Cycle-graph scan: path image equality and the singleton predicate.
 
     Rows for j0 without two adjacent free vertices carry a note; the
@@ -549,28 +568,21 @@ def circuit_scan(kind: str, n_max: int, n_min: int = 3) -> list[CriterionReport]
     genuinely fails outside it (a lone free vertex gives a supersolvable
     lattice through the chain symmetric around that vertex).
     """
-    if kind != CYCLE_KIND:
-        raise UnsupportedGraphError("circuit scan runs on the cycle family")
-    _check_scan_range(n_max, max(n_min, 3))
     rows = []
-    for n in range(max(n_min, 3), n_max + 1):
-        g = build_cycle_diagram(n)
-        for j0 in range(1 << n):
-            if j0 == g.full_mask:
-                continue
-            res = circuit_analysis(CrossSectionLattice(g, j0))
-            note = "" if res.phi_applicable else "no-adjacent-free-pair"
+    for g, lats in _configs_by_n("circuit", kind, n_min, n_max):
+        for lat in lats:
+            res = circuit_analysis(lat)
             if res.phi_applicable:
                 rows.append(CriterionReport(
-                    g.kind, n, j0, "circuit_path_image",
+                    g.kind, g.n, lat.j0, "circuit_path_image",
                     "equal" if res.phi_matches else "different", "equal",
                     bool(res.phi_matches),
                     note=f"path_j0=0x{res.path_j0_mask:x}"))
             rows.append(CriterionReport(
-                g.kind, n, j0, "circuit_supersolvable_singletons",
+                g.kind, g.n, lat.j0, "circuit_supersolvable_singletons",
                 str(res.predicate_singletons), str(res.brute_supersolvable),
                 res.predicate_singletons == res.brute_supersolvable,
-                note=note))
+                note="" if res.phi_applicable else NO_ADJACENT_FREE_PAIR))
     return rows
 
 
@@ -582,4 +594,17 @@ SCAN_FUNCTIONS = {
     "distributive-count": distributive_count_scan,
     "inner-product": inner_product_scan,
     "circuit": circuit_scan,
+}
+
+# One rule per scan name; the entries hold no functions, so tools that
+# rewrap the values of SCAN_FUNCTIONS leave this table alone.
+SCAN_RULES = {
+    "theorems": ScanRule(theorem_grade=True, skips_degenerate=False),
+    "supersolvable": ScanRule(theorem_grade=True, skips_degenerate=False),
+    "charpoly": ScanRule(theorem_grade=False, skips_degenerate=True),
+    "chains": ScanRule(theorem_grade=False, skips_degenerate=True),
+    "distributive-count": ScanRule(theorem_grade=True, skips_degenerate=True),
+    "inner-product": ScanRule(theorem_grade=False, skips_degenerate=True),
+    "circuit": ScanRule(theorem_grade=True, skips_degenerate=True,
+                        families=(CYCLE_KIND,), n_min=3),
 }

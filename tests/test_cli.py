@@ -252,7 +252,7 @@ def fake_scan(rows):
 def test_scan_breach_exit_code(monkeypatch, capsys):
     bad = CriterionReport("path_A", 2, 0, "x", "a", "b", False)
     monkeypatch.setitem(cli.SCAN_FUNCTIONS, "theorems", fake_scan([bad]))
-    code = main(["scan", "theorems", "--family", "path A", "--n-max", "2"])
+    code = main(["scan", "theorems", "--family", "path A", "--n-max", "1"])
     assert code == EXIT_BREACH
     assert "disagree=1" in capsys.readouterr().err
 
@@ -260,7 +260,7 @@ def test_scan_breach_exit_code(monkeypatch, capsys):
 def test_scan_conjecture_disagreement_still_exits_zero(monkeypatch, capsys):
     bad = CriterionReport("path_A", 2, 0, "x", "a", "b", False)
     monkeypatch.setitem(cli.SCAN_FUNCTIONS, "charpoly", fake_scan([bad]))
-    code = main(["scan", "charpoly", "--family", "path A", "--n-max", "2"])
+    code = main(["scan", "charpoly", "--family", "path A", "--n-max", "1"])
     assert code == EXIT_OK
     assert "disagree=1" in capsys.readouterr().err
 
@@ -269,7 +269,7 @@ def test_scan_hypothesis_flag_shields_breach(monkeypatch, capsys):
     flagged = CriterionReport("cycle", 4, 7, "x", "a", "b", False,
                               note="no-adjacent-free-pair")
     monkeypatch.setitem(cli.SCAN_FUNCTIONS, "circuit", fake_scan([flagged]))
-    code = main(["scan", "circuit", "--family", "cycle", "--n-max", "4"])
+    code = main(["scan", "circuit", "--family", "cycle", "--n-max", "3"])
     assert code == EXIT_OK
     assert "flagged=1" in capsys.readouterr().err
 
@@ -279,8 +279,70 @@ def test_scan_informational_note_does_not_shield(monkeypatch, capsys):
                           note="partitions=3;nonproduct_classes=1")
     monkeypatch.setitem(cli.SCAN_FUNCTIONS, "distributive-count", fake_scan([bad]))
     code = main(["scan", "distributive-count", "--family", "path A",
-                 "--n-max", "3"])
+                 "--n-max", "1"])
     assert code == EXIT_BREACH
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_scan_range_checked_before_any_chunk(monkeypatch, capsys):
+    calls = []
+
+    def recording(kind, n_max, n_min=1):
+        calls.append(n_max)
+        return []
+
+    monkeypatch.setitem(cli.SCAN_FUNCTIONS, "theorems", recording)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(FakeExecutor, "created", [])
+    for jobs in ("1", "2"):
+        code = main(["scan", "theorems", "--family", "path A",
+                     "--n-max", "13", "--jobs", jobs])
+        assert code == EXIT_CAP
+    assert calls == [] and FakeExecutor.created == []
+
+
+def test_scan_workers_capped_at_chunk_count(monkeypatch, capsys):
+    calls = []
+
+    def recording(kind, n_max, n_min=1):
+        calls.append((n_min, n_max))
+        return []
+
+    monkeypatch.setitem(cli.SCAN_FUNCTIONS, "circuit", recording)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(FakeExecutor, "created", [])
+    code = main(["scan", "circuit", "--family", "cycle", "--n-max", "4",
+                 "--jobs", "64"])
+    assert code == EXIT_OK
+    assert FakeExecutor.created == [2]
+    assert calls == [(3, 3), (4, 4)]
+    assert "degenerate-skipped=2" in capsys.readouterr().err
+
+
+def test_scan_rejects_wrong_family(capsys):
+    for name in ["theorems", "charpoly", "supersolvable", "chains",
+                 "inner-product", "distributive-count"]:
+        assert main(["scan", name, "--family", "cycle", "--n-max", "4"]) == EXIT_USAGE
+        assert "path A, path B, path C" in capsys.readouterr().err
+    assert main(["scan", "circuit", "--family", "path B", "--n-max", "4"]) == EXIT_USAGE
+    assert "runs on cycle" in capsys.readouterr().err
 
 
 # -- export-dot ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from crosslat.errors import (
 from crosslat.poset_engine import chain_product_poset, posets_isomorphic
 from crosslat.theorem_suite import (
     SCAN_FUNCTIONS,
+    SCAN_RULES,
     charpoly_formula,
     circuit_analysis,
     circuit_scan,
@@ -370,6 +371,50 @@ def test_scan_registry_names():
         "theorems", "supersolvable", "charpoly", "chains",
         "distributive-count", "inner-product", "circuit",
     }
+
+
+PATHS = ("path_A", "path_B", "path_C")
+
+
+def test_scan_rules_pinned():
+    # name: (theorem grade, skips degenerate j0, first n, families)
+    expected = {
+        "theorems": (True, False, 1, PATHS),
+        "supersolvable": (True, False, 1, PATHS),
+        "charpoly": (False, True, 1, PATHS),
+        "chains": (False, True, 1, PATHS),
+        "distributive-count": (True, True, 1, PATHS),
+        "inner-product": (False, True, 1, PATHS),
+        "circuit": (True, True, 3, ("cycle",)),
+    }
+    assert set(SCAN_RULES) == set(SCAN_FUNCTIONS)
+    for name, rule in SCAN_RULES.items():
+        got = (rule.theorem_grade, rule.skips_degenerate, rule.n_min, rule.families)
+        assert got == expected[name], name
+
+
+def test_scan_rules_match_degenerate_rows():
+    # per-configuration scans: the full-j0 row is missing exactly when
+    # the rule says the scan skips it
+    for name, rule in SCAN_RULES.items():
+        if name == "distributive-count":
+            continue  # one row per n, not per configuration
+        kind = rule.families[0]
+        n = rule.n_min + 1
+        if name in ("chains", "inner-product"):
+            n = 4  # rows exist only for distributive or rank >= 2 configs
+        rows = SCAN_FUNCTIONS[name](kind, n, n_min=n)
+        full = (1 << n) - 1
+        has_full = any(r.j0_mask == full for r in rows)
+        assert has_full != rule.skips_degenerate, name
+        assert {r.n for r in rows} == {n}, name
+
+
+def test_scan_range_starts_at_first_n():
+    for name, rule in SCAN_RULES.items():
+        with pytest.raises(InvalidSizeError):
+            SCAN_FUNCTIONS[name](rule.families[0], rule.n_min - 1)
+    assert {r.n for r in circuit_scan("cycle", 4)} == {3, 4}
 
 
 def test_report_row_shape():
