@@ -32,6 +32,7 @@ from .diagram import (
 )
 from .errors import (
     CrossLatError,
+    InvalidSizeError,
     PreconditionError,
     SizeLimitError,
     UnsupportedGraphError,
@@ -340,11 +341,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
     kind = parse_family_literal(args.family)
     if args.n_max is None:
         raise CrossLatError("--n-max is required")
+    jobs = 1 if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise CrossLatError(f"--jobs must be at least 1, got {jobs}")
     rule = SCAN_RULES[args.scan_name]
     # one chunk per n, checked before any of them runs
-    chunks = rule.n_range(kind, args.n_max)
+    try:
+        chunks = rule.n_range(kind, args.n_max)
+    except InvalidSizeError:
+        raise CrossLatError(f"--n-max must be at least {rule.n_min}") from None
     names, kinds = [args.scan_name] * len(chunks), [kind] * len(chunks)
-    jobs = args.jobs or 1
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             parts = list(pool.map(_scan_chunk, names, kinds, chunks))

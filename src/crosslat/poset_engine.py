@@ -367,10 +367,19 @@ class FinitePoset:
         return bool((lhs == rhs).all())
 
     def modular_element_mask(self) -> np.ndarray:
-        """Boolean vector of elements that are both left and right modular."""
-        out = np.zeros(self.size, dtype=bool)
-        for v in range(self.size):
-            out[v] = self.is_left_modular(v) and self.is_right_modular(v)
+        """Boolean vector of elements that are both left and right modular.
+
+        A distributive lattice is modular, so every element is both left
+        and right modular and the mask is all true without a per-element
+        test; other lattices test each element.
+        """
+        self._require_lattice()
+        if self._distributive:
+            out = np.ones(self.size, dtype=bool)
+        else:
+            out = np.zeros(self.size, dtype=bool)
+            for v in range(self.size):
+                out[v] = self.is_left_modular(v) and self.is_right_modular(v)
         out.setflags(write=False)
         return out
 
@@ -378,7 +387,35 @@ class FinitePoset:
         return all(self.is_left_modular(a) for a in range(self.size))
 
     def is_distributive_lattice(self) -> bool:
-        """Checks x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
+        """Whether the lattice is distributive, by Birkhoff's theorem.
+
+        x -> {j in J(L) : j <= x} embeds any finite lattice L into the
+        down-sets of its join-irreducibles J(L), and is onto exactly when
+        L is distributive.  So L is distributive exactly when J(L) has |L|
+        down-sets.  The count stops once it passes |L|, which bounds the
+        work by O(|J(L)| |L|), and the answer is cached per poset.
+        """
+        self._require_lattice()
+        return self._distributive
+
+    @cached_property
+    def _distributive(self) -> bool:
+        ji = set(self.join_irreducibles())
+        order = [v for v in self.linext if v in ji]
+        below = self.leq[np.ix_(order, order)]
+        # down-sets of the first i join-irreducibles, as bitmasks; each
+        # prefix of a linear extension is itself a down-set, so the count
+        # never falls as i grows and may stop once it passes |L|
+        downsets = [0]
+        for i in range(len(order)):
+            need = sum(1 << k for k in np.flatnonzero(below[:i, i]).tolist())
+            downsets += [d | (1 << i) for d in downsets if d & need == need]
+            if len(downsets) > self.size:
+                return False
+        return len(downsets) == self.size
+
+    def _distributive_by_triples(self) -> bool:
+        """Reference check of x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
         t = self._require_lattice()
         for x in range(self.size):
             lhs = t.meet[x, t.join]

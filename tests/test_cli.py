@@ -243,6 +243,26 @@ def test_scan_circuit_starts_at_three(capsys):
     assert "flagged=3" in cap.err and "disagree=0" in cap.err
 
 
+def test_scan_n_max_below_first_n_names_the_option(capsys):
+    assert main(["scan", "circuit", "--family", "cycle", "--n-max", "2"]) == EXIT_USAGE
+    assert "--n-max must be at least 3" in capsys.readouterr().err
+    assert main(["scan", "charpoly", "--family", "path A", "--n-max", "0"]) == EXIT_USAGE
+    assert "--n-max must be at least 1" in capsys.readouterr().err
+
+
+def test_scan_rejects_non_positive_jobs(tmp_path, capsys):
+    args = ["scan", "charpoly", "--family", "path A", "--n-max", "2"]
+    for jobs in ("0", "-3"):
+        assert main(args + ["--jobs", jobs]) == EXIT_USAGE
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        conf = tmp_path / "scan.conf"
+        conf.write_text(f"jobs = {jobs}\n")
+        assert main(args + ["--config", str(conf)]) == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+    assert main(args) == EXIT_OK
+    assert "rows=4" in capsys.readouterr().err
+
+
 def fake_scan(rows):
     def run(kind, n_max, n_min=1):
         return rows

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosslat.crosslattice import CrossSectionLattice
 from crosslat.errors import (
     EmptyIntervalError,
     GradednessError,
@@ -26,6 +27,7 @@ from crosslat.poset_engine import (
     posets_isomorphic,
     poset_from_cover_relations,
 )
+from crosslat.theorem_suite import family_graph
 
 
 def pentagon() -> FinitePoset:
@@ -212,6 +214,96 @@ def test_supersolvable_chain_is_maximal_and_modular():
     assert ranks == list(range(4))
     for i in chain:
         assert b3.is_left_modular(i) and b3.is_right_modular(i)
+
+
+# -- fast routes against their reference routes ------------------------------------
+
+
+def modular_mask_reference(p: FinitePoset) -> np.ndarray:
+    """The per-element route: one left and one right test per element."""
+    return np.array([p.is_left_modular(v) and p.is_right_modular(v)
+                     for v in range(p.size)])
+
+
+def family_lattices(kinds=("path_A", "cycle"), n_max=6):
+    """Every cross section lattice of the given families up to n_max nodes."""
+    for kind in kinds:
+        for n in range(3 if kind == "cycle" else 1, n_max + 1):
+            g = family_graph(kind, n)
+            for j0 in range(g.full_mask + 1):
+                yield (kind, n, j0), CrossSectionLattice(g, j0).to_poset()
+
+
+def reference_lattices():
+    yield "N5", pentagon()
+    yield "M3", diamond()
+    yield "B3", boolean_lattice(3)
+    yield "3x2", chain_product_poset((3, 2))
+    yield from family_lattices()
+
+
+def test_birkhoff_distributivity_matches_triples():
+    expected = {"N5": False, "M3": False, "B3": True, "3x2": True}
+    seen = set()
+    for name, p in reference_lattices():
+        fast = p.is_distributive_lattice()
+        assert fast == p._distributive_by_triples(), name
+        assert expected.get(name, fast) == fast, name
+        seen.add(fast)
+    assert seen == {True, False}
+
+
+def test_modular_mask_matches_per_element_tests():
+    for name, p in reference_lattices():
+        assert (p.modular_element_mask() == modular_mask_reference(p)).all(), name
+
+
+def test_supersolvable_witness_unchanged_by_modular_shortcut(monkeypatch):
+    for name, p in family_lattices(kinds=("path_A",)):
+        fast = p.is_supersolvable_bruteforce()
+        ref = modular_mask_reference(p)
+        monkeypatch.setattr(p, "modular_element_mask", lambda: ref)
+        assert p.is_supersolvable_bruteforce() == fast, name
+
+
+def macneille_completion(p: FinitePoset) -> FinitePoset:
+    """The cuts L(U(A)) of p ordered by inclusion: a lattice for every poset."""
+    cuts = set()
+    for bits in range(1 << p.size):
+        chosen = [(bits >> i) & 1 == 1 for i in range(p.size)]
+        upper = p.leq[chosen].all(axis=0)
+        lower = p.leq[:, upper].all(axis=1)
+        cuts.add(sum(1 << int(i) for i in np.flatnonzero(lower)))
+    arr = np.array(sorted(cuts))
+    return FinitePoset((arr[:, None] & ~arr[None, :]) == 0)
+
+
+@given(random_posets())
+@settings(max_examples=200, deadline=None)
+def test_birkhoff_distributivity_matches_triples_on_random_lattices(p):
+    # few random posets are lattices, so their completions are checked too
+    lattices = [macneille_completion(p)]
+    if p.is_lattice():
+        lattices.append(p)
+    else:
+        with pytest.raises(PreconditionError):
+            p.is_distributive_lattice()
+    for q in lattices:
+        assert q.is_distributive_lattice() == q._distributive_by_triples()
+        assert (q.modular_element_mask() == modular_mask_reference(q)).all()
+
+
+def test_distributivity_needs_a_lattice():
+    # two incomparable elements: no join, no meet
+    antichain = FinitePoset(np.eye(2, dtype=bool))
+    # two minimal elements below two maximal ones: no least upper bound
+    bowtie = poset_from_cover_relations(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    for p in (antichain, bowtie):
+        assert not p.is_lattice()
+        for check in (p.is_distributive_lattice, p.modular_element_mask,
+                      p._distributive_by_triples):
+            with pytest.raises(PreconditionError):
+                check()
 
 
 # -- structure predicates ---------------------------------------------------------
