@@ -134,13 +134,20 @@ def flag_f_vector(p: FinitePoset) -> dict[Subset, int]:
     """Chain counts of the proper part by exact rank set."""
     n, layers = _proper_layers(p)
     leq = p.leq
+    steps = {(a, b): leq[np.ix_(layers[a], layers[b])].astype(np.int64)
+             for a, b in combinations(range(1, n), 2)}
     out: dict[Subset, int] = {(): 1}
+    # ends[s][v]: chains with rank set s ending at the v-th element of
+    # rank s[-1]; each extends the vector of s[:-1] by one step
+    ends: dict[Subset, np.ndarray] = {}
     for size in range(1, n):
+        shorter, ends = ends, {}
         for subset in combinations(range(1, n), size):
-            vec = np.ones(len(layers[subset[0]]), dtype=np.int64)
-            for a, b in zip(subset, subset[1:]):
-                step = leq[np.ix_(layers[a], layers[b])].astype(np.int64)
-                vec = vec @ step
+            if size == 1:
+                vec = np.ones(len(layers[subset[0]]), dtype=np.int64)
+            else:
+                vec = shorter[subset[:-1]] @ steps[subset[-2:]]
+            ends[subset] = vec
             out[subset] = int(vec.sum())
     return out
 

@@ -27,11 +27,50 @@ PartitionType = tuple[int, ...]
 
 ISO_SIZE_CAP = 5000
 
+# bytes of AND temporaries per block of rows in _least_common_bounds
+_BOUNDS_BLOCK_BYTES = 1 << 18
+
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product computed through float64 for speed."""
-    prod = a.astype(np.float64) @ b.astype(np.float64)
+    """Boolean matrix product computed through float32 for speed."""
+    # exact: each entry counts at most n < 2**24 products of 0 and 1
+    prod = a.astype(np.float32) @ b.astype(np.float32)
     return prod > 0.5
+
+
+def _least_common_bounds(bounds: np.ndarray, order: np.ndarray) -> Optional[np.ndarray]:
+    """Table of least common bounds, or None when some pair has none.
+
+    bounds[i, k] is true when k bounds i (an up-set row for joins, a
+    down-set row for meets).  The bounds of each pair (i, j) are the AND
+    of two rows packed into 64-bit words with columns in `order`; the
+    first set bit is the first common bound k in `order`, and it is the
+    least one exactly when k has as many bounds as the pair has.  The
+    table is symmetric, so each block of rows meets only the rows from
+    its own first one on.
+    """
+    n = len(order)
+    sizes = bounds.sum(axis=1)
+    words = -(-n // 64)
+    padded = np.zeros((n, 64 * words), dtype=bool)
+    padded[:, :n] = bounds[:, order]
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    table = np.empty((n, n), dtype=np.int32)
+    block = max(1, _BOUNDS_BLOCK_BYTES // (8 * n * words))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        common = packed[start:stop, None, :] & packed[None, start:, :]
+        first = (common != 0).argmax(axis=2)
+        word = np.take_along_axis(common, first[..., None], axis=2)[..., 0]
+        if not word.all():
+            return None
+        bit = np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
+        least = order[64 * first + bit]
+        if (sizes[least] != np.bitwise_count(common).sum(axis=2, dtype=np.int64)).any():
+            return None
+        table[start:stop, start:] = least
+        table[start:, start:stop] = least.T
+    return table
 
 
 @dataclass(frozen=True)
@@ -214,27 +253,10 @@ class FinitePoset:
 
     @cached_property
     def _tables(self) -> _LatticeTables:
-        n = self.size
-        L = self.leq
-        Li = L.astype(np.float64)
-        ub_counts = Li @ Li.T
-        lb_counts = Li.T @ Li
-        up_size = L.sum(axis=1)
-        down_size = L.sum(axis=0)
-        join = np.full((n, n), -1, dtype=np.int32)
-        for k in self.linext:
-            col = L[:, k]
-            fresh = np.logical_and.outer(col, col) & (join < 0)
-            join[fresh] = k
-        meet = np.full((n, n), -1, dtype=np.int32)
-        for k in reversed(self.linext):
-            row = L[k, :]
-            fresh = np.logical_and.outer(row, row) & (meet < 0)
-            meet[fresh] = k
-        if (join < 0).any() or (meet < 0).any():
-            return _LatticeTables(None, None, False)
-        ok = (up_size[join] == ub_counts).all() and (down_size[meet] == lb_counts).all()
-        if not ok:
+        order = np.asarray(self.linext, dtype=np.int64)
+        join = _least_common_bounds(self.leq, order)
+        meet = None if join is None else _least_common_bounds(self.leq.T, order[::-1])
+        if meet is None:
             return _LatticeTables(None, None, False)
         join.setflags(write=False)
         meet.setflags(write=False)

@@ -399,6 +399,8 @@ def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None
                                     value, oracle, value == oracle))
 
     leq = poset.leq
+    # built first, the parent's tables restrict to each interval_poset below
+    poset.is_lattice()
     mismatch = 0
     for xi in range(poset.size):
         for yi in np.where(leq[xi, :])[0]:

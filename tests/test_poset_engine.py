@@ -5,6 +5,8 @@ Expected values here come from hand computation on small named posets
 fence) or from identities every poset must satisfy.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from crosslat.errors import (
     MembershipError,
     PreconditionError,
 )
+from crosslat.flags import MAX_DEGREE, flag_f_vector
 from crosslat.poset_engine import (
     CharPolynomial,
     FinitePoset,
@@ -304,6 +307,110 @@ def test_distributivity_needs_a_lattice():
                       p._distributive_by_triples):
             with pytest.raises(PreconditionError):
                 check()
+
+
+def tables_by_outer(p: FinitePoset):
+    """Reference join/meet build: one N x N outer product per element.
+
+    Each element k, taken in linear-extension order (reversed for meets),
+    fills the pairs it bounds that are still empty; the pair's first
+    common bound is its least one when every common bound is above it.
+    """
+    n, L = p.size, p.leq
+    ub_counts = L.astype(np.int64) @ L.T.astype(np.int64)
+    lb_counts = L.T.astype(np.int64) @ L.astype(np.int64)
+    join = np.full((n, n), -1, dtype=np.int32)
+    for k in p.linext:
+        fresh = np.logical_and.outer(L[:, k], L[:, k]) & (join < 0)
+        join[fresh] = k
+    meet = np.full((n, n), -1, dtype=np.int32)
+    for k in reversed(p.linext):
+        fresh = np.logical_and.outer(L[k, :], L[k, :]) & (meet < 0)
+        meet[fresh] = k
+    if (join < 0).any() or (meet < 0).any():
+        return None, None, False
+    if not ((L.sum(axis=1)[join] == ub_counts).all()
+            and (L.sum(axis=0)[meet] == lb_counts).all()):
+        return None, None, False
+    return join, meet, True
+
+
+def covers_by_int_matmul(p: FinitePoset) -> np.ndarray:
+    strict = (p.leq & ~np.eye(p.size, dtype=bool)).astype(np.int64)
+    return (strict == 1) & ((strict @ strict) == 0)
+
+
+def flag_f_vector_by_products(p: FinitePoset) -> dict:
+    """Each rank set's chain count as a fresh product of layer matrices."""
+    ranks = p.rank()
+    n = ranks[p.top]
+    layers = [[v for v in range(p.size) if ranks[v] == r] for r in range(n + 1)]
+    out = {(): 1}
+    for size in range(1, n):
+        for subset in combinations(range(1, n), size):
+            vec = np.ones(len(layers[subset[0]]), dtype=np.int64)
+            for a, b in zip(subset, subset[1:]):
+                vec = vec @ p.leq[np.ix_(layers[a], layers[b])].astype(np.int64)
+            out[subset] = int(vec.sum())
+    return out
+
+
+def non_lattices():
+    # 1 and 2 have no upper bound; in the dual, no lower bound
+    vee = poset_from_cover_relations(3, [(0, 1), (0, 2)])
+    yield "vee", vee
+    yield "wedge", vee.dual()
+    # every pair has common bounds, but 1 and 2 have two minimal upper ones
+    yield "bowtie", poset_from_cover_relations(
+        6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+
+
+def edge_size_posets():
+    """Sizes around the 64-bit word and the row-block boundaries."""
+    for m in (63, 64, 65, 129):
+        yield f"chain{m}", chain_poset(m)
+    for k in (7, 8):
+        yield f"B{k}", boolean_lattice(k)
+
+
+def assert_routes_match_references(p: FinitePoset, name: str) -> None:
+    join, meet, ok = tables_by_outer(p)
+    t = p._tables
+    assert t.ok == ok, name
+    if ok:
+        assert t.join.dtype == join.dtype and (t.join == join).all(), name
+        assert t.meet.dtype == meet.dtype and (t.meet == meet).all(), name
+    else:
+        assert t.join is None and t.meet is None, name
+    assert (p.covers == covers_by_int_matmul(p)).all(), name
+    if p.bottom is None or p.top is None:
+        return
+    try:
+        rtop = p.rank_of_top()
+    except GradednessError:
+        return
+    if rtop <= MAX_DEGREE:
+        assert flag_f_vector(p) == flag_f_vector_by_products(p), name
+
+
+def test_tables_covers_and_flags_match_references():
+    for name, p in [*reference_lattices(), *edge_size_posets(), *non_lattices()]:
+        assert_routes_match_references(p, name)
+
+
+@given(random_posets())
+@settings(max_examples=200, deadline=None)
+def test_tables_covers_and_flags_match_references_on_random_posets(p):
+    assert_routes_match_references(p, "draw")
+    assert_routes_match_references(macneille_completion(p), "completion")
+
+
+def test_tables_refuse_non_lattices():
+    for name, p in non_lattices():
+        assert tables_by_outer(p)[2] is False, name
+        assert not p.is_lattice(), name
+        with pytest.raises(PreconditionError):
+            p.join(0, 1)
 
 
 # -- structure predicates ---------------------------------------------------------
