@@ -152,17 +152,33 @@ def flag_f_vector(p: FinitePoset) -> dict[Subset, int]:
     return out
 
 
+def _subset_sums(values: Mapping[Subset, int], degree: int, sign: int) -> dict[Subset, int]:
+    """Sum of sign^|T - U| * values[U] over the subsets U of T, for every T.
+
+    T runs over the subsets of 1..degree-1 by size, then lexicographically,
+    the key order of flag_f_vector.  With subsets as bitmasks (i -> bit
+    i-1), one pass per bit adds into each mask holding the bit the entry
+    of the mask without it: (degree-1) 2^(degree-2) additions in place of
+    3^(degree-1) terms.
+    """
+    keys = [s for size in range(max(degree, 1))
+            for s in combinations(range(1, degree), size)]
+    masks = [sum(1 << (i - 1) for i in s) for s in keys]
+    sums = [0] * len(keys)
+    for key, mask in zip(keys, masks):
+        sums[mask] = values.get(key, 0)
+    for bit in (1 << b for b in range(degree - 1)):
+        for mask in range(len(sums)):
+            if mask & bit:
+                sums[mask] += sign * sums[mask ^ bit]
+    return {key: sums[mask] for key, mask in zip(keys, masks)}
+
+
 def flag_beta(p: FinitePoset) -> dict[Subset, int]:
     """Inclusion-exclusion transform of the flag f-vector."""
     alpha = flag_f_vector(p)
-    out: dict[Subset, int] = {}
-    for subset in alpha:
-        total = 0
-        for size in range(len(subset) + 1):
-            for smaller in combinations(subset, size):
-                total += (-1) ** (len(subset) - size) * alpha[smaller]
-        out[subset] = total
-    return out
+    # alpha has a key for each of the 2^(n-1) subsets of 1..n-1
+    return _subset_sums(alpha, len(alpha).bit_length(), -1)
 
 
 def flag_qsym(p: FinitePoset) -> QuasiSymFunction:
@@ -177,16 +193,7 @@ def fundamental_to_monomial(q: QuasiSymFunction) -> QuasiSymFunction:
         raise BasisMismatchError("expected a fundamental-basis function")
     if q.degree > MAX_DEGREE:
         raise SizeLimitError(f"basis change capped at degree {MAX_DEGREE}")
-    out: dict[Subset, int] = {}
-    n = q.degree
-    for size in range(max(n, 1)):
-        for target in combinations(range(1, n), size):
-            total = 0
-            for sub_size in range(len(target) + 1):
-                for sub in combinations(target, sub_size):
-                    total += q.coeff(sub)
-            out[target] = total
-    return QuasiSymFunction("M", n, out)
+    return QuasiSymFunction("M", q.degree, _subset_sums(q._coeffs, q.degree, 1))
 
 
 def is_flag_symmetric(p: FinitePoset) -> bool:

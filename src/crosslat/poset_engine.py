@@ -8,7 +8,7 @@ sets.  Every numeric invariant is computed exactly with integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -450,33 +450,38 @@ class FinitePoset:
     # -- complements, atomicity, booleanness ---------------------------------
 
     def is_relatively_complemented(self) -> bool:
-        """Every interval [x, y] is a complemented lattice, by direct search."""
-        t = self._require_lattice()
-        L = self.leq
-        for x in range(self.size):
-            for y in np.where(L[x, :])[0]:
-                idx = np.where(L[x, :] & L[:, y])[0]
-                sub_join = t.join[np.ix_(idx, idx)]
-                sub_meet = t.meet[np.ix_(idx, idx)]
-                if not ((sub_join == y) & (sub_meet == x)).any(axis=1).all():
-                    return False
-        return True
+        """Every interval [x, y] is a complemented lattice.
+
+        A finite lattice is relatively complemented exactly when none of
+        its intervals has three elements.  Such an interval is a chain
+        whose middle has no complement.  Conversely, let no interval have
+        three elements, take a < x < b and induct on |[a, b]|.  If x is
+        not a coatom of [a, b], take a coatom c > x, a complement x' of x
+        in [a, c] (so x' > a) and a complement d of c in [x', b]; then
+        x v d = x v x' v d = c v d = b and x ^ d = x ^ c ^ d = x ^ x' = a,
+        so d complements x.  If x is a coatom but not an atom, the dual
+        argument applies.  If x is both, [a, b] has a fourth element, and
+        that one complements x.
+        """
+        self._require_lattice()
+        leq = self.leq.astype(np.float32)
+        # sizes[x, y] = |[x, y]|, exact in float32 below 2**24 elements
+        sizes = leq @ leq
+        return not (sizes == 3).any()
 
     def is_atomic(self) -> bool:
-        """Every element is the join of the atoms below it."""
-        t = self._require_lattice()
+        """Every element is the join of the atoms below it.
+
+        Every element is the join of the join-irreducibles below it, and a
+        join-irreducible that is a join of atoms is an atom, so the lattice
+        is atomic exactly when every element covering exactly one element
+        covers the bottom.
+        """
+        self._require_lattice()
         if self.bottom is None:
             raise PreconditionError("atomicity needs a unique minimum")
-        ats = self.atoms()
-        L = self.leq
-        for w in range(self.size):
-            acc = self.bottom
-            for a in ats:
-                if L[a, w]:
-                    acc = int(t.join[acc, a])
-            if acc != w:
-                return False
-        return True
+        cov = self.covers
+        return bool(cov[self.bottom, cov.sum(axis=0) == 1].all())
 
     def is_boolean(self) -> bool:
         """Isomorphism test against the subset lattice of the same rank."""
@@ -490,7 +495,7 @@ class FinitePoset:
             raise SizeLimitError("boolean comparison above rank 30 refused")
         if self.size != 1 << rtop:
             return False
-        return posets_isomorphic(self, boolean_lattice(rtop))
+        return posets_isomorphic(self, _shared_boolean_lattice(rtop))
 
     # -- symmetry ------------------------------------------------------------
 
@@ -553,36 +558,21 @@ class FinitePoset:
 
         Requires a distributive lattice.  The join irreducibles with the
         induced order determine the lattice; it is a product of chains
-        exactly when they form a disjoint union of chains.  Parts are the
-        chain sizes, which add up to the lattice rank.
+        exactly when they form a disjoint union of chains, that is when
+        comparability among them is transitive.  Parts are the sizes of
+        its classes, which add up to the lattice rank.
         """
         if not self.is_lattice() or not self.is_distributive_lattice():
             raise PreconditionError("factorization needs a distributive lattice")
         ji = self.join_irreducibles()
-        L = self.leq
-        comparable = {
-            v: [w for w in ji if w != v and (L[v, w] or L[w, v])] for v in ji
-        }
-        seen: set[int] = set()
-        parts: list[int] = []
-        for v in ji:
-            if v in seen:
-                continue
-            comp = {v}
-            frontier = [v]
-            while frontier:
-                u = frontier.pop()
-                for w in comparable[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            seen |= comp
-            for p in comp:
-                for q in comp:
-                    if p != q and not (L[p, q] or L[q, p]):
-                        return None
-            parts.append(len(comp))
-        return tuple(sorted(parts, reverse=True))
+        if not ji:
+            return ()
+        below = self.leq[np.ix_(ji, ji)]
+        comparable = below | below.T
+        if (_bool_matmul(comparable, comparable) & ~comparable).any():
+            return None
+        _, parts = np.unique(comparable, axis=0, return_counts=True)
+        return tuple(sorted((int(c) for c in parts), reverse=True))
 
     # -- supersolvability -------------------------------------------------------
 
@@ -664,6 +654,10 @@ def boolean_lattice(k: int) -> FinitePoset:
     return FinitePoset(leq, labels=masks, validate=False)
 
 
+# one shared instance per rank, so its covers and order are built once
+_shared_boolean_lattice = cache(boolean_lattice)
+
+
 def chain_poset(m: int) -> FinitePoset:
     """Total order with m elements."""
     if m < 1:
@@ -718,7 +712,7 @@ def classify_rank3_interval(p: FinitePoset) -> str:
         raise PreconditionError("classification needs a graded bounded poset") from exc
     if rtop != 3:
         raise PreconditionError(f"expected rank 3, got {rtop}")
-    if p.size == 8 and posets_isomorphic(p, boolean_lattice(3)):
+    if p.size == 8 and posets_isomorphic(p, _shared_boolean_lattice(3)):
         return "boolean3"
     if p.size == 4:
         return "chain4"

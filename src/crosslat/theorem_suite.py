@@ -314,10 +314,6 @@ def circuit_analysis(lat: CrossSectionLattice) -> CircuitAnalysis:
     phi_matches = None
     if cut is not None:
         positions = {((cut - 1 + p) % n) + 1: p for p in range(1, n + 1)}
-        path_j0 = 0
-        for a in iter_nodes(j0):
-            path_j0 |= node_bit(positions[a])
-        path_lat = CrossSectionLattice(build_path_diagram("A", n), path_j0)
 
         def relabel(mask: int) -> int:
             out = 0
@@ -325,6 +321,8 @@ def circuit_analysis(lat: CrossSectionLattice) -> CircuitAnalysis:
                 out |= node_bit(positions[a])
             return out
 
+        path_j0 = relabel(j0)
+        path_lat = CrossSectionLattice(build_path_diagram("A", n), path_j0)
         phi_matches = {relabel(u) for u in lat.elements} == set(path_lat.elements)
     return CircuitAnalysis(
         n=n,

@@ -1,8 +1,11 @@
 """Flag vectors and quasisymmetric functions on graded bounded posets."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosslat.crosslattice import CrossSectionLattice
 from crosslat.errors import BasisMismatchError, CompositionError
 from crosslat.flags import (
     QuasiSymFunction,
@@ -23,6 +26,7 @@ from crosslat.poset_engine import (
     chain_product_poset,
     poset_from_cover_relations,
 )
+from crosslat.theorem_suite import family_graph
 
 
 def test_subset_composition_round_trip():
@@ -144,6 +148,47 @@ def test_quasisym_equality_and_basis_guards():
         inner_product_fundamental(a, c)
     with pytest.raises(BasisMismatchError):
         QuasiSymFunction("G", 2, {})
+
+
+def flag_beta_by_subsets(p) -> dict:
+    """Reference: the inclusion-exclusion sum over each subset's subsets."""
+    alpha = flag_f_vector(p)
+    out = {}
+    for subset in alpha:
+        total = 0
+        for size in range(len(subset) + 1):
+            for smaller in combinations(subset, size):
+                total += (-1) ** (len(subset) - size) * alpha[smaller]
+        out[subset] = total
+    return out
+
+
+def monomial_by_subsets(q: QuasiSymFunction) -> QuasiSymFunction:
+    """Reference: each M coefficient sums the F coefficients of its subsets."""
+    out = {}
+    n = q.degree
+    for size in range(max(n, 1)):
+        for target in combinations(range(1, n), size):
+            out[target] = sum(q.coeff(sub) for k in range(size + 1)
+                              for sub in combinations(target, k))
+    return QuasiSymFunction("M", n, out)
+
+
+def test_subset_transforms_match_subset_loops():
+    posets = [boolean_lattice(k) for k in range(5)]
+    posets += [chain_poset(m) for m in range(1, 5)]
+    posets += [chain_product_poset((3, 2)),
+               poset_from_cover_relations(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])]
+    for kind, n_min in (("path_A", 1), ("cycle", 3)):
+        for n in range(n_min, 7):
+            g = family_graph(kind, n)
+            posets += [CrossSectionLattice(g, j0).to_poset() for j0 in range(g.full_mask)]
+    for p in posets:
+        beta = flag_beta(p)
+        reference = flag_beta_by_subsets(p)
+        assert list(beta.items()) == list(reference.items())
+        q = flag_qsym(p)
+        assert fundamental_to_monomial(q) == monomial_by_subsets(q)
 
 
 def test_qsym_json_shape():

@@ -44,9 +44,9 @@ def diamond() -> FinitePoset:
 
 
 @st.composite
-def random_posets(draw):
+def random_posets(draw, size=None):
     """Transitive closure of a random low-to-high DAG: always a poset."""
-    n = draw(st.integers(min_value=1, max_value=7))
+    n = size or draw(st.integers(min_value=1, max_value=7))
     leq = np.eye(n, dtype=bool)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
@@ -294,6 +294,7 @@ def test_birkhoff_distributivity_matches_triples_on_random_lattices(p):
     for q in lattices:
         assert q.is_distributive_lattice() == q._distributive_by_triples()
         assert (q.modular_element_mask() == modular_mask_reference(q)).all()
+        assert_characterizations_match_searches(q, "completion")
 
 
 def test_distributivity_needs_a_lattice():
@@ -353,6 +354,103 @@ def flag_f_vector_by_products(p: FinitePoset) -> dict:
                 vec = vec @ p.leq[np.ix_(layers[a], layers[b])].astype(np.int64)
             out[subset] = int(vec.sum())
     return out
+
+
+def relcomp_by_search(p: FinitePoset) -> bool:
+    """Reference: every element of every interval has a complement in it."""
+    t = p._require_lattice()
+    L = p.leq
+    for x in range(p.size):
+        for y in np.where(L[x, :])[0]:
+            idx = np.where(L[x, :] & L[:, y])[0]
+            sub_join = t.join[np.ix_(idx, idx)]
+            sub_meet = t.meet[np.ix_(idx, idx)]
+            if not ((sub_join == y) & (sub_meet == x)).any(axis=1).all():
+                return False
+    return True
+
+
+def atomic_by_joins(p: FinitePoset) -> bool:
+    """Reference: fold the atoms below each element into their join."""
+    t = p._require_lattice()
+    L = p.leq
+    for w in range(p.size):
+        acc = p.bottom
+        for a in p.atoms():
+            if L[a, w]:
+                acc = int(t.join[acc, a])
+        if acc != w:
+            return False
+    return True
+
+
+def factorization_by_components(p: FinitePoset):
+    """Reference: connected components of comparability among the
+    join-irreducibles, None when one of them is not a chain."""
+    ji = p.join_irreducibles()
+    L = p.leq
+    seen: set[int] = set()
+    parts: list[int] = []
+    for v in ji:
+        if v in seen:
+            continue
+        comp = {v}
+        frontier = [v]
+        while frontier:
+            u = frontier.pop()
+            for w in ji:
+                if w not in comp and (L[u, w] or L[w, u]):
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        if any(not (L[a, b] or L[b, a]) for a in comp for b in comp):
+            return None
+        parts.append(len(comp))
+    return tuple(sorted(parts, reverse=True))
+
+
+def assert_characterizations_match_searches(p: FinitePoset, name: str) -> None:
+    assert p.is_relatively_complemented() == relcomp_by_search(p), name
+    assert p.is_atomic() == atomic_by_joins(p), name
+    if p.is_distributive_lattice():
+        assert p.chain_product_factorization() == factorization_by_components(p), name
+
+
+def family_intervals(n_max=5):
+    """Every interval of the family lattices, once per distinct order matrix.
+
+    The checks read nothing but the order and the tables it fixes, and
+    the 9,158 intervals at n <= 5 have only 109 distinct matrices.
+    """
+    seen = set()
+    for key, p in family_lattices(n_max=n_max):
+        for x in range(p.size):
+            for y in np.flatnonzero(p.leq[x]):
+                sub = p.interval_poset(x, int(y))
+                if sub.leq.tobytes() not in seen:
+                    seen.add(sub.leq.tobytes())
+                    yield (key, x, int(y)), sub
+
+
+def test_characterizations_match_searches():
+    for name, p in [*reference_lattices(), *family_intervals()]:
+        assert_characterizations_match_searches(p, name)
+
+
+def test_characterization_pins():
+    n5 = pentagon()
+    assert n5.interval_poset(0, 2).size == 3  # [0, c] is a three-element chain
+    assert not n5.is_relatively_complemented() and not relcomp_by_search(n5)
+    assert not n5.is_atomic() and not atomic_by_joins(n5)
+    m3 = diamond()
+    assert m3.is_relatively_complemented() and relcomp_by_search(m3)
+    one = chain_poset(1)
+    assert one.chain_product_factorization() == () == factorization_by_components(one)
+    for name, p in non_lattices():
+        for check in (p.is_relatively_complemented, p.is_atomic,
+                      p.chain_product_factorization):
+            with pytest.raises(PreconditionError):
+                check()
 
 
 def non_lattices():
@@ -456,6 +554,7 @@ def test_factorization_none_when_irreducibles_entangle():
     p = poset_from_cover_relations(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
     assert p.is_distributive_lattice()
     assert p.chain_product_factorization() is None
+    assert factorization_by_components(p) is None
 
 
 def test_rank_symmetry_predicates():
@@ -538,6 +637,27 @@ def test_isomorphism_invariant_under_relabeling(p, rng):
     inv = np.argsort(order)
     q = FinitePoset(p.leq[np.ix_(inv, inv)])
     assert posets_isomorphic(p, q)
+
+
+def hasse_digraph(nx, p: FinitePoset):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(p.size))
+    g.add_edges_from(zip(*(a.tolist() for a in np.nonzero(p.covers))))
+    return g
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_isomorphism_matches_networkx(data):
+    # an independent check: isomorphism of the directed Hasse diagrams
+    nx = pytest.importorskip("networkx")
+    p = data.draw(random_posets())
+    q = data.draw(random_posets(size=p.size))
+    inv = np.argsort(data.draw(st.permutations(range(p.size))))
+    relabeled = FinitePoset(p.leq[np.ix_(inv, inv)])
+    for a, b in ((p, q), (p, relabeled), (q, relabeled)):
+        expected = nx.is_isomorphic(hasse_digraph(nx, a), hasse_digraph(nx, b))
+        assert posets_isomorphic(a, b) == expected
 
 
 # -- characteristic polynomial arithmetic -----------------------------------------
