@@ -18,7 +18,9 @@ from .poset_engine import FinitePoset
 import numpy as np
 
 # Full enumeration is exponential in the node count; refuse past this.
+# The order matrix is built from uint32 masks, so it must stay <= 32.
 MAX_ENUM_NODES = 24
+assert MAX_ENUM_NODES <= 32
 
 
 def is_admissible(g: CoxeterGraph, j0_mask: int, u_mask: int) -> bool:
@@ -45,21 +47,27 @@ def _admissible_extensions(g: CoxeterGraph, j0_mask: int, u_mask: int) -> Iterat
 
 
 def enumerate_lattice(g: CoxeterGraph, j0_mask: int) -> list[int]:
-    """All admissible subsets, sorted by cardinality then mask value."""
+    """All admissible subsets, sorted by cardinality then mask value.
+
+    A nonempty admissible set stays admissible without some node (a leaf
+    of a spanning tree of one of its components, other than a node of
+    that component outside j0), so each rank grows from the one below by
+    the rule of _admissible_extensions, and each level is sorted on its
+    own.
+    """
     g.check_subset(j0_mask)
     if g.n > MAX_ENUM_NODES:
         raise SizeLimitError(
             f"enumeration capped at {MAX_ENUM_NODES} nodes, got {g.n}")
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for alpha in _admissible_extensions(g, j0_mask, u):
-            grown = u | node_bit(alpha)
-            if grown not in seen:
-                seen.add(grown)
-                frontier.append(grown)
-    return sorted(seen, key=lambda m: (m.bit_count(), m))
+    steps = [(node_bit(a), not j0_mask & node_bit(a), g.neighbors(a))
+             for a in range(1, g.n + 1)]
+    out: list[int] = []
+    level = [0]
+    while level:
+        out += level
+        level = sorted({u | bit for u in level for bit, free, nb in steps
+                        if not u & bit and (free or u & nb)})
+    return out
 
 
 class CrossSectionLattice:
@@ -129,9 +137,10 @@ class CrossSectionLattice:
 
     @cached_property
     def _poset(self) -> FinitePoset:
-        arr = np.asarray(self.elements, dtype=np.int64)
+        # uint32 holds every mask exactly, see MAX_ENUM_NODES
+        arr = np.asarray(self.elements, dtype=np.uint32)
         leq = (arr[:, None] & ~arr[None, :]) == 0
-        ranks = tuple(m.bit_count() for m in self.elements)
+        ranks = tuple(map(int.bit_count, self.elements))
         return FinitePoset(leq, labels=self.elements, validate=False, ranks=ranks)
 
     def to_poset(self) -> FinitePoset:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -120,7 +121,8 @@ class CharPolynomial:
 
     @classmethod
     def x_power_times_x_minus_one_power(cls, a: int, b: int) -> "CharPolynomial":
-        return cls.from_roots([0] * a + [1] * b)
+        """x^a (x-1)^b: the x^(a+k) coefficient is C(b, k) (-1)^(b-k)."""
+        return cls((0,) * a + tuple(comb(b, k) * (-1) ** (b - k) for k in range(b + 1)))
 
     def __str__(self) -> str:
         if self.coeffs == (0,):
@@ -166,8 +168,11 @@ class FinitePoset:
             if len(labels) != self.size:
                 raise InvalidSizeError("labels length must match size")
         self.labels = labels
-        self._injected_ranks = tuple(int(r) for r in ranks) if ranks is not None else None
+        self._injected_ranks = tuple(map(int, ranks)) if ranks is not None else None
         self._mobius_cache: dict[int, np.ndarray] = {}
+        # (join, meet, idx): tables of a lattice whose elements idx form
+        # this poset, restricted only when _tables is first read
+        self._restrict_from: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         if validate:
             self._validate()
 
@@ -202,6 +207,14 @@ class FinitePoset:
         out = strict & ~via
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def _cover_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Upper and lower covers of every element, as index lists."""
+        cov = self.covers
+        up = [np.flatnonzero(row).tolist() for row in cov]
+        down = [np.flatnonzero(col).tolist() for col in cov.T]
+        return up, down
 
     @cached_property
     def linext(self) -> tuple[int, ...]:
@@ -253,52 +266,78 @@ class FinitePoset:
 
     @cached_property
     def _tables(self) -> _LatticeTables:
-        order = np.asarray(self.linext, dtype=np.int64)
-        join = _least_common_bounds(self.leq, order)
-        meet = None if join is None else _least_common_bounds(self.leq.T, order[::-1])
-        if meet is None:
-            return _LatticeTables(None, None, False)
+        if self._restrict_from is not None:
+            join, meet, idx = self._restrict_from
+            pos = np.full(len(join), -1, dtype=np.int32)
+            pos[idx] = np.arange(len(idx), dtype=np.int32)
+            join = pos[join[np.ix_(idx, idx)]]
+            meet = pos[meet[np.ix_(idx, idx)]]
+        else:
+            order = np.asarray(self.linext, dtype=np.int64)
+            join = _least_common_bounds(self.leq, order)
+            meet = None if join is None else _least_common_bounds(self.leq.T, order[::-1])
+            if meet is None:
+                return _LatticeTables(None, None, False)
         join.setflags(write=False)
         meet.setflags(write=False)
         return _LatticeTables(join, meet, True)
 
-    def _inject_tables(self, join: np.ndarray, meet: np.ndarray) -> None:
-        join.setflags(write=False)
-        meet.setflags(write=False)
-        self.__dict__["_tables"] = _LatticeTables(join, meet, True)
-
     def is_lattice(self) -> bool:
-        return self._tables.ok
+        return self._restrict_from is not None or self._tables.ok
 
-    def _require_lattice(self) -> _LatticeTables:
-        t = self._tables
-        if not t.ok:
+    def _require_lattice(self) -> None:
+        if not self.is_lattice():
             raise PreconditionError("operation needs a lattice")
-        return t
+
+    def _lattice_tables(self) -> _LatticeTables:
+        self._require_lattice()
+        return self._tables
 
     def join(self, i: int, j: int) -> int:
-        t = self._require_lattice()
+        t = self._lattice_tables()
         return int(t.join[self._check_index(i), self._check_index(j)])
 
     def meet(self, i: int, j: int) -> int:
-        t = self._require_lattice()
+        t = self._lattice_tables()
         return int(t.meet[self._check_index(i), self._check_index(j)])
 
     # -- Mobius function and characteristic polynomial --------------------
 
+    @cached_property
+    def _antichain_blocks(self) -> list[np.ndarray]:
+        """Antichains covering the poset, each after every block below it.
+
+        A graded poset gives its rank levels; any other poset gives one
+        element per block in linear-extension order.
+        """
+        try:
+            ranks = np.asarray(self.rank())
+        except GradednessError:
+            return [np.array([v]) for v in self.linext]
+        order = np.argsort(ranks, kind="stable")
+        ends = np.bincount(ranks).cumsum().tolist()
+        return [order[a:b] for a, b in zip([0] + ends, ends)]
+
     def mobius_from(self, x: int) -> np.ndarray:
-        """Vector of Mobius values mu(x, v) for every v."""
+        """Vector of Mobius values mu(x, v) for every v.
+
+        Rota's recursion, one antichain block at a time.
+        """
         x = self._check_index(x)
         cached = self._mobius_cache.get(x)
         if cached is not None:
             return cached
         L = self.leq
+        above = L[x].copy()
+        above[x] = False
         mu = np.zeros(self.size, dtype=np.int64)
-        for v in self.linext:
-            if v == x:
-                mu[v] = 1
-            elif L[x, v]:
-                mu[v] = -int(mu @ L[:, v])
+        mu[x] = 1
+        # mu(x, b) = -sum of mu(x, u) over x <= u < b; every such u lies in
+        # an earlier block, and b's own block adds nothing but mu(x, b) = 0
+        for block in self._antichain_blocks:
+            b = block[above[block]]
+            if len(b):
+                mu[b] = -(mu @ L[:, b])
         mu.setflags(write=False)
         self._mobius_cache[x] = mu
         return mu
@@ -317,10 +356,9 @@ class FinitePoset:
         ranks = self.rank()
         rtop = ranks[self.top]
         mu = self.mobius_from(self.bottom)
-        coeffs = [0] * (rtop + 1)
-        for w in range(self.size):
-            coeffs[rtop - ranks[w]] += int(mu[w])
-        return CharPolynomial(tuple(coeffs))
+        coeffs = np.zeros(rtop + 1, dtype=np.int64)
+        np.add.at(coeffs, rtop - np.asarray(ranks), mu)
+        return CharPolynomial(tuple(coeffs.tolist()))
 
     # -- special elements --------------------------------------------------
 
@@ -354,7 +392,7 @@ class FinitePoset:
 
     def is_upper_semimodular(self) -> bool:
         """Birkhoff condition: x covers x^y implies x v y covers y."""
-        t = self._require_lattice()
+        t = self._lattice_tables()
         n = self.size
         cov = self.covers
         rows = np.arange(n)[:, None]
@@ -365,7 +403,7 @@ class FinitePoset:
 
     def is_modular_pair(self, a: int, b: int) -> bool:
         """Whether c v (a ^ b) = (c v a) ^ b for every c below b."""
-        t = self._require_lattice()
+        t = self._lattice_tables()
         a = self._check_index(a)
         b = self._check_index(b)
         cs = np.where(self.leq[:, b])[0]
@@ -374,14 +412,14 @@ class FinitePoset:
         return bool((lhs == rhs).all())
 
     def is_left_modular(self, a: int) -> bool:
-        t = self._require_lattice()
+        t = self._lattice_tables()
         a = self._check_index(a)
         lhs = t.join[:, t.meet[a, :]]
         rhs = t.meet[t.join[:, a], :]
         return bool(((lhs == rhs) | ~self.leq).all())
 
     def is_right_modular(self, b: int) -> bool:
-        t = self._require_lattice()
+        t = self._lattice_tables()
         b = self._check_index(b)
         cs = np.where(self.leq[:, b])[0]
         lhs = t.join[np.ix_(cs, t.meet[:, b])]
@@ -438,7 +476,7 @@ class FinitePoset:
 
     def _distributive_by_triples(self) -> bool:
         """Reference check of x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
-        t = self._require_lattice()
+        t = self._lattice_tables()
         for x in range(self.size):
             lhs = t.meet[x, t.join]
             mx = t.meet[x, :]
@@ -614,8 +652,9 @@ class FinitePoset:
     def interval_poset(self, x: int, y: int) -> "FinitePoset":
         """The closed interval [x, y] as a poset of its own.
 
-        When the parent is a lattice the join and meet tables restrict, so
-        they are passed down instead of being recomputed.
+        An interval of a lattice is a lattice whose join and meet tables
+        restrict from the parent's, so the parent's tables are handed down
+        and restricted only if the child reads them.
         """
         idx = np.asarray(self.interval_indices(x, y), dtype=np.int64)
         labels = None
@@ -630,12 +669,11 @@ class FinitePoset:
                 ranks = None
         child = FinitePoset(self.leq[np.ix_(idx, idx)], labels=labels,
                             validate=False, ranks=ranks)
-        t = self._tables if "_tables" in self.__dict__ else None
-        if t is not None and t.ok:
-            pos = np.full(self.size, -1, dtype=np.int32)
-            pos[idx] = np.arange(len(idx), dtype=np.int32)
-            child._inject_tables(pos[t.join[np.ix_(idx, idx)]],
-                                 pos[t.meet[np.ix_(idx, idx)]])
+        if "_tables" in self.__dict__ and self._tables.ok:
+            child._restrict_from = (self._tables.join, self._tables.meet, idx)
+        elif self._restrict_from is not None:
+            join, meet, outer = self._restrict_from
+            child._restrict_from = (join, meet, outer[idx])
         return child
 
 
@@ -753,14 +791,8 @@ def posets_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
         return False
     n = p.size
 
-    def neighbors(poset: FinitePoset) -> tuple[list[list[int]], list[list[int]]]:
-        cov = poset.covers
-        up = [[int(j) for j in np.where(cov[i, :])[0]] for i in range(poset.size)]
-        down = [[int(j) for j in np.where(cov[:, i])[0]] for i in range(poset.size)]
-        return up, down
-
-    up_p, down_p = neighbors(p)
-    up_q, down_q = neighbors(q)
+    up_p, down_p = p._cover_lists
+    up_q, down_q = q._cover_lists
     col_p = [0] * n
     col_q = [0] * n
     for _ in range(n):

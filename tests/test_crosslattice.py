@@ -8,7 +8,12 @@ used by the implementation.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosslat.crosslattice import CrossSectionLattice, enumerate_lattice, is_admissible
+from crosslat.crosslattice import (
+    CrossSectionLattice,
+    _admissible_extensions,
+    enumerate_lattice,
+    is_admissible,
+)
 from crosslat.diagram import (
     CoxeterGraph,
     build_custom_graph,
@@ -16,6 +21,7 @@ from crosslat.diagram import (
     build_path_diagram,
     format_nodeset,
     mask_to_nodes,
+    node_bit,
     nodes_to_mask,
 )
 from crosslat.errors import EmptyIntervalError, MembershipError, SizeLimitError
@@ -105,6 +111,38 @@ def test_enumeration_on_disconnected_custom_graph():
     assert got == brute_elements(g, j0)
     # the whole node set is inadmissible: component {3,4} sits inside j0
     assert g.full_mask not in got
+
+
+def enumerate_by_search(g: CoxeterGraph, j0: int) -> list[int]:
+    """Reference enumeration: a search from the empty set by admissible
+    one-node extensions, sorted by cardinality then mask at the end."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for alpha in _admissible_extensions(g, j0, u):
+            grown = u | node_bit(alpha)
+            if grown not in seen:
+                seen.add(grown)
+                frontier.append(grown)
+    return sorted(seen, key=lambda m: (m.bit_count(), m))
+
+
+def enumeration_graphs():
+    for series in ("A", "B", "C"):
+        for n in range(1, 9):
+            yield build_path_diagram(series, n)
+    for n in range(3, 9):
+        yield build_cycle_diagram(n)
+    yield build_custom_graph(4, [(1, 2), (3, 4)])
+    # a four-cycle 1-2-3-4 with node 5 hanging off node 3
+    yield build_custom_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (3, 5)])
+
+
+def test_rank_by_rank_enumeration_matches_search():
+    for g in enumeration_graphs():
+        for j0 in range(g.full_mask + 1):
+            assert enumerate_lattice(g, j0) == enumerate_by_search(g, j0), (g.kind, g.n, j0)
 
 
 def test_known_element_lists():

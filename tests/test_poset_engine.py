@@ -22,6 +22,7 @@ from crosslat.flags import MAX_DEGREE, flag_f_vector
 from crosslat.poset_engine import (
     CharPolynomial,
     FinitePoset,
+    _least_common_bounds,
     boolean_lattice,
     chain_poset,
     chain_product_poset,
@@ -358,7 +359,7 @@ def flag_f_vector_by_products(p: FinitePoset) -> dict:
 
 def relcomp_by_search(p: FinitePoset) -> bool:
     """Reference: every element of every interval has a complement in it."""
-    t = p._require_lattice()
+    t = p._lattice_tables()
     L = p.leq
     for x in range(p.size):
         for y in np.where(L[x, :])[0]:
@@ -372,7 +373,7 @@ def relcomp_by_search(p: FinitePoset) -> bool:
 
 def atomic_by_joins(p: FinitePoset) -> bool:
     """Reference: fold the atoms below each element into their join."""
-    t = p._require_lattice()
+    t = p._lattice_tables()
     L = p.leq
     for w in range(p.size):
         acc = p.bottom
@@ -509,6 +510,92 @@ def test_tables_refuse_non_lattices():
         assert not p.is_lattice(), name
         with pytest.raises(PreconditionError):
             p.join(0, 1)
+
+
+def mobius_by_linext(p: FinitePoset, x: int) -> np.ndarray:
+    """Reference Mobius row: one step per element in linear-extension order."""
+    L = p.leq
+    mu = np.zeros(p.size, dtype=np.int64)
+    for v in p.linext:
+        if v == x:
+            mu[v] = 1
+        elif L[x, v]:
+            mu[v] = -int(mu @ L[:, v])
+    return mu
+
+
+def charpoly_by_loop(p: FinitePoset) -> CharPolynomial:
+    """Reference characteristic polynomial: one addition per element."""
+    ranks = p.rank()
+    rtop = ranks[p.top]
+    mu = mobius_by_linext(p, p.bottom)
+    coeffs = [0] * (rtop + 1)
+    for w in range(p.size):
+        coeffs[rtop - ranks[w]] += int(mu[w])
+    return CharPolynomial(tuple(coeffs))
+
+
+def assert_mobius_matches_reference(p: FinitePoset, name: str) -> None:
+    for x in range(p.size):
+        row = p.mobius_from(x)
+        assert row.dtype == np.int64, name
+        assert (row == mobius_by_linext(p, x)).all(), (name, x)
+    if p.bottom is None or p.top is None:
+        return
+    try:
+        p.rank()
+    except GradednessError:
+        return
+    assert p.characteristic_polynomial() == charpoly_by_loop(p), name
+
+
+def test_mobius_rows_match_reference():
+    for name, p in reference_lattices():
+        assert_mobius_matches_reference(p, name)
+        assert_mobius_matches_reference(p.dual(), f"{name} dual")
+
+
+@given(random_posets())
+@settings(max_examples=200, deadline=None)
+def test_mobius_rows_match_reference_on_random_posets(p):
+    completion = macneille_completion(p)
+    for name, q in (("draw", p), ("completion", completion),
+                    ("dual", p.dual()), ("completion dual", completion.dual())):
+        assert_mobius_matches_reference(q, name)
+
+
+def test_antichain_blocks():
+    b3 = boolean_lattice(3)
+    assert [block.tolist() for block in b3._antichain_blocks] == [
+        [0], [1, 2, 3], [4, 5, 6], [7]]
+    # the pentagon is not graded: one element per block, in linext order
+    n5 = pentagon()
+    assert [block.tolist() for block in n5._antichain_blocks] == [
+        [v] for v in n5.linext]
+
+
+def assert_tables_fresh(q: FinitePoset, name: str) -> None:
+    order = np.asarray(q.linext, dtype=np.int64)
+    join = _least_common_bounds(q.leq, order)
+    meet = _least_common_bounds(q.leq.T, order[::-1])
+    t = q._tables
+    assert t.ok, name
+    assert t.join.dtype == join.dtype and (t.join == join).all(), name
+    assert t.meet.dtype == meet.dtype and (t.meet == meet).all(), name
+
+
+def test_interval_tables_restrict_lazily():
+    for key, p in family_lattices(n_max=5):
+        assert p.is_lattice()
+        for x in range(p.size):
+            for y in np.flatnonzero(p.leq[x]):
+                sub = p.interval_poset(x, int(y))
+                assert sub.is_lattice(), (key, x, y)
+                assert "_tables" not in sub.__dict__, (key, x, y)
+                # an interval of an unread interval restricts the root's tables
+                inner = sub.interval_poset(sub.linext[min(1, sub.size - 1)], sub.top)
+                assert_tables_fresh(sub, (key, x, y))
+                assert_tables_fresh(inner, (key, x, y, "inner"))
 
 
 # -- structure predicates ---------------------------------------------------------
@@ -670,6 +757,10 @@ def test_charpoly_arithmetic():
     assert CharPolynomial.from_roots((1, 1)) == CharPolynomial((1, -2, 1))
     assert CharPolynomial.x_power_times_x_minus_one_power(2, 2) == CharPolynomial(
         (0, 0, 1, -2, 1))
+    for a in range(6):
+        for b in range(6):
+            assert CharPolynomial.x_power_times_x_minus_one_power(a, b) == \
+                CharPolynomial.from_roots([0] * a + [1] * b), (a, b)
     assert str(CharPolynomial((0, 0, 1, -2, 1))) == "x^4 - 2x^3 + x^2"
     assert str(one) == "1"
     assert CharPolynomial((1, -2, 1)).evaluate(3) == 4
