@@ -22,6 +22,11 @@ import numpy as np
 MAX_ENUM_NODES = 24
 assert MAX_ENUM_NODES <= 32
 
+# The poset view holds dense N x N arrays; its largest step, the float32
+# product behind FinitePoset.covers, peaks at about 14 bytes per pair of
+# elements, so 12,000 elements keep an analysis under about 2 GB.
+MAX_POSET_ELEMENTS = 12_000
+
 
 def is_admissible(g: CoxeterGraph, j0_mask: int, u_mask: int) -> bool:
     """Whether every connected component of u_mask reaches outside j0_mask."""
@@ -137,6 +142,9 @@ class CrossSectionLattice:
 
     @cached_property
     def _poset(self) -> FinitePoset:
+        if self.size > MAX_POSET_ELEMENTS:
+            raise SizeLimitError(
+                f"poset view capped at {MAX_POSET_ELEMENTS} elements, got {self.size}")
         # uint32 holds every mask exactly, see MAX_ENUM_NODES
         arr = np.asarray(self.elements, dtype=np.uint32)
         leq = (arr[:, None] & ~arr[None, :]) == 0
@@ -144,7 +152,11 @@ class CrossSectionLattice:
         return FinitePoset(leq, labels=self.elements, validate=False, ranks=ranks)
 
     def to_poset(self) -> FinitePoset:
-        """Index-based poset view; labels carry the element masks."""
+        """Index-based poset view; labels carry the element masks.
+
+        Raises SizeLimitError above MAX_POSET_ELEMENTS elements, before
+        any dense array is allocated.
+        """
         return self._poset
 
     def interval(self, u: int, v: int) -> FinitePoset:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,8 @@ PartitionType = tuple[int, ...]
 
 ISO_SIZE_CAP = 5000
 
-# bytes of AND temporaries per block of rows in _least_common_bounds
+# bytes of temporaries per block of rows in _first_common_bounds and per
+# block of cover edges in FinitePoset._left_modular_mask
 _BOUNDS_BLOCK_BYTES = 1 << 18
 
 
@@ -39,23 +40,41 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod > 0.5
 
 
-def _least_common_bounds(bounds: np.ndarray, order: np.ndarray) -> Optional[np.ndarray]:
-    """Table of least common bounds, or None when some pair has none.
+def _first_common_bounds(bounds: np.ndarray, order: np.ndarray,
+                         upper: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """Table of each pair's first common bound in `order`, or None.
 
     bounds[i, k] is true when k bounds i (an up-set row for joins, a
     down-set row for meets).  The bounds of each pair (i, j) are the AND
-    of two rows packed into 64-bit words with columns in `order`; the
-    first set bit is the first common bound k in `order`, and it is the
-    least one exactly when k has as many bounds as the pair has.  The
-    table is symmetric, so each block of rows meets only the rows from
-    its own first one on.
+    of two rows packed into 64-bit words with columns in `order`, and the
+    first set bit is the first common bound in `order`.  The table is
+    symmetric, so each block of rows meets only the rows from its own
+    first one on.  Returns None when some pair has no common bound.
+
+    With `upper` (float32, upper[z, m] = 1 when z <= m, for each m of a
+    set M), U(z) is the set of elements of M above z and U U^T counts
+    U(x) & U(y).  Each pair's first common bound c must then have
+    |U(c)| = |U(x) & U(y)|, that is U(c) = U(x) & U(y) since c bounds
+    both, or the table is None.  When M holds every element with exactly
+    one upper cover, this makes each c the least upper bound:
+      - No z < d has U(z) = U(d).  Take z maximal with such a d.  An upper
+        cover a <= d of z has U(a) = U(d), so a = d by maximality.  z is
+        not in M, as z is in U(z) but not in U(d), so z has a second upper
+        cover b.  The first common upper bound e of d and b has
+        U(e) = U(d) & U(b) = U(b), so e = b by maximality, yet d <= e
+        and d, b are distinct covers of z.
+      - Any common upper bound z of x and y has U(z) inside U(c), so the
+        first common upper bound f of c and z has U(f) = U(z) and f = z
+        by the above: c <= z.
     """
     n = len(order)
-    sizes = bounds.sum(axis=1)
     words = -(-n // 64)
     padded = np.zeros((n, 64 * words), dtype=bool)
     padded[:, :n] = bounds[:, order]
     packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    if upper is not None:
+        # exact: U(z) sizes and their intersections stay below 2**24
+        sizes = upper.sum(axis=1)
     table = np.empty((n, n), dtype=np.int32)
     block = max(1, _BOUNDS_BLOCK_BYTES // (8 * n * words))
     for start in range(0, n, block):
@@ -67,11 +86,18 @@ def _least_common_bounds(bounds: np.ndarray, order: np.ndarray) -> Optional[np.n
             return None
         bit = np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
         least = order[64 * first + bit]
-        if (sizes[least] != np.bitwise_count(common).sum(axis=2, dtype=np.int64)).any():
+        if upper is not None and (sizes[least] != upper[start:stop] @ upper[start:].T).any():
             return None
         table[start:stop, start:] = least
         table[start:, start:stop] = least.T
     return table
+
+
+def _restricted(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A lattice table restricted to the sublattice idx, renumbered."""
+    pos = np.full(len(table), -1, dtype=np.int32)
+    pos[idx] = np.arange(len(idx), dtype=np.int32)
+    return pos[table[np.ix_(idx, idx)]]
 
 
 @dataclass(frozen=True)
@@ -144,12 +170,6 @@ class CharPolynomial:
         return " ".join(parts)
 
 
-class _LatticeTables(NamedTuple):
-    join: Optional[np.ndarray]
-    meet: Optional[np.ndarray]
-    ok: bool
-
-
 class FinitePoset:
     """A finite poset over indices 0..size-1 given by a boolean leq matrix."""
 
@@ -170,9 +190,9 @@ class FinitePoset:
         self.labels = labels
         self._injected_ranks = tuple(map(int, ranks)) if ranks is not None else None
         self._mobius_cache: dict[int, np.ndarray] = {}
-        # (join, meet, idx): tables of a lattice whose elements idx form
-        # this poset, restricted only when _tables is first read
-        self._restrict_from: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # (source, idx): a lattice whose elements idx form this poset; its
+        # tables are restricted only when _tables or _meet is first read
+        self._restrict_from: Optional[tuple["FinitePoset", np.ndarray]] = None
         if validate:
             self._validate()
 
@@ -265,41 +285,68 @@ class FinitePoset:
     # -- lattice tables ---------------------------------------------------
 
     @cached_property
-    def _tables(self) -> _LatticeTables:
+    def _tables(self) -> Optional[np.ndarray]:
+        """The join table, or None when the poset is not a lattice.
+
+        A finite join-semilattice with a bottom is a lattice, so the poset
+        is one exactly when it has a bottom and every pair has a join.
+        Each pair's first common upper bound is checked to be its join
+        through the set M of elements with exactly one upper cover, as in
+        _first_common_bounds.  In a lattice the check holds for any M,
+        since the elements above x and y are those above x v y.  The meet
+        table is built only when read, by _meet.
+        """
         if self._restrict_from is not None:
-            join, meet, idx = self._restrict_from
-            pos = np.full(len(join), -1, dtype=np.int32)
-            pos[idx] = np.arange(len(idx), dtype=np.int32)
-            join = pos[join[np.ix_(idx, idx)]]
-            meet = pos[meet[np.ix_(idx, idx)]]
+            source, idx = self._restrict_from
+            join = _restricted(source._tables, idx)
+        elif self.bottom is None:
+            return None
         else:
             order = np.asarray(self.linext, dtype=np.int64)
-            join = _least_common_bounds(self.leq, order)
-            meet = None if join is None else _least_common_bounds(self.leq.T, order[::-1])
-            if meet is None:
-                return _LatticeTables(None, None, False)
+            upper = self.leq[:, self.covers.sum(axis=1) == 1].astype(np.float32)
+            join = _first_common_bounds(self.leq, order, upper)
+            if join is None:
+                return None
         join.setflags(write=False)
+        return join
+
+    @cached_property
+    def _meet(self) -> np.ndarray:
+        """The meet table of a lattice, built the first time it is read.
+
+        In a lattice every common lower bound of a pair lies below its
+        meet, so the meet is the first common lower bound in reverse
+        linear-extension order and needs no check.  Callers make sure the
+        poset is a lattice.
+        """
+        if self._restrict_from is not None:
+            source, idx = self._restrict_from
+            meet = _restricted(source._meet, idx)
+        else:
+            order = np.asarray(self.linext[::-1], dtype=np.int64)
+            meet = _first_common_bounds(self.leq.T, order)
         meet.setflags(write=False)
-        return _LatticeTables(join, meet, True)
+        return meet
 
     def is_lattice(self) -> bool:
-        return self._restrict_from is not None or self._tables.ok
+        return self._restrict_from is not None or self._tables is not None
 
     def _require_lattice(self) -> None:
         if not self.is_lattice():
             raise PreconditionError("operation needs a lattice")
 
-    def _lattice_tables(self) -> _LatticeTables:
+    def _lattice_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The join and meet tables; raises PreconditionError on a non-lattice."""
         self._require_lattice()
-        return self._tables
+        return self._tables, self._meet
 
     def join(self, i: int, j: int) -> int:
-        t = self._lattice_tables()
-        return int(t.join[self._check_index(i), self._check_index(j)])
+        self._require_lattice()
+        return int(self._tables[self._check_index(i), self._check_index(j)])
 
     def meet(self, i: int, j: int) -> int:
-        t = self._lattice_tables()
-        return int(t.meet[self._check_index(i), self._check_index(j)])
+        self._require_lattice()
+        return int(self._meet[self._check_index(i), self._check_index(j)])
 
     # -- Mobius function and characteristic polynomial --------------------
 
@@ -392,59 +439,83 @@ class FinitePoset:
 
     def is_upper_semimodular(self) -> bool:
         """Birkhoff condition: x covers x^y implies x v y covers y."""
-        t = self._lattice_tables()
+        join, meet = self._lattice_tables()
         n = self.size
         cov = self.covers
         rows = np.arange(n)[:, None]
         cols = np.arange(n)[None, :]
-        covers_meet = cov[t.meet, rows]
-        covers_join = cov[cols, t.join]
+        covers_meet = cov[meet, rows]
+        covers_join = cov[cols, join]
         return bool((~covers_meet | covers_join).all())
 
     def is_modular_pair(self, a: int, b: int) -> bool:
         """Whether c v (a ^ b) = (c v a) ^ b for every c below b."""
-        t = self._lattice_tables()
+        join, meet = self._lattice_tables()
         a = self._check_index(a)
         b = self._check_index(b)
         cs = np.where(self.leq[:, b])[0]
-        lhs = t.join[cs, t.meet[a, b]]
-        rhs = t.meet[t.join[cs, a], b]
+        lhs = join[cs, meet[a, b]]
+        rhs = meet[join[cs, a], b]
         return bool((lhs == rhs).all())
 
     def is_left_modular(self, a: int) -> bool:
-        t = self._lattice_tables()
+        join, meet = self._lattice_tables()
         a = self._check_index(a)
-        lhs = t.join[:, t.meet[a, :]]
-        rhs = t.meet[t.join[:, a], :]
+        lhs = join[:, meet[a, :]]
+        rhs = meet[join[:, a], :]
         return bool(((lhs == rhs) | ~self.leq).all())
 
     def is_right_modular(self, b: int) -> bool:
-        t = self._lattice_tables()
+        join, meet = self._lattice_tables()
         b = self._check_index(b)
         cs = np.where(self.leq[:, b])[0]
-        lhs = t.join[np.ix_(cs, t.meet[:, b])]
-        rhs = t.meet[t.join[cs, :], b]
+        lhs = join[np.ix_(cs, meet[:, b])]
+        rhs = meet[join[cs, :], b]
         return bool((lhs == rhs).all())
+
+    def _left_modular_mask(self) -> np.ndarray:
+        """Boolean vector of left-modular elements, from the cover pairs.
+
+        m is left modular exactly when no cover x < y has both x ^ m = y ^ m
+        and x v m = y v m.  For x <= y put p = x v (m ^ y) and
+        q = (x v m) ^ y: always p <= q, p ^ m = q ^ m = y ^ m and
+        p v m = q v m = x v m, so a failure p < q of left modularity leaves
+        every element of [p, q], and some cover inside it, with the same
+        meet and join with m.  Conversely such a cover x < y gives
+        x v (m ^ y) = x but (x v m) ^ y = y.  The tables are symmetric, so
+        the rows of a cover's two ends stand for their columns.
+        """
+        join, meet = self._lattice_tables()
+        src, dst = np.nonzero(self.covers)
+        failed = np.zeros(self.size, dtype=bool)
+        # four gathered int32 rows per cover edge
+        block = max(1, _BOUNDS_BLOCK_BYTES // (16 * self.size))
+        for start in range(0, len(src), block):
+            x, y = src[start:start + block], dst[start:start + block]
+            failed |= ((meet[x] == meet[y]) & (join[x] == join[y])).any(axis=0)
+        return ~failed
 
     def modular_element_mask(self) -> np.ndarray:
         """Boolean vector of elements that are both left and right modular.
 
         A distributive lattice is modular, so every element is both left
         and right modular and the mask is all true without a per-element
-        test; other lattices test each element.
+        test; other lattices find the left-modular elements in one pass
+        over the covers and test right modularity on those alone.
         """
         self._require_lattice()
         if self._distributive:
             out = np.ones(self.size, dtype=bool)
         else:
-            out = np.zeros(self.size, dtype=bool)
-            for v in range(self.size):
-                out[v] = self.is_left_modular(v) and self.is_right_modular(v)
+            out = self._left_modular_mask()
+            for v in np.flatnonzero(out).tolist():
+                out[v] = self.is_right_modular(v)
         out.setflags(write=False)
         return out
 
     def is_modular_lattice(self) -> bool:
-        return all(self.is_left_modular(a) for a in range(self.size))
+        """Whether every element is left modular, which makes it modular."""
+        return bool(self._left_modular_mask().all())
 
     def is_distributive_lattice(self) -> bool:
         """Whether the lattice is distributive, by Birkhoff's theorem.
@@ -476,11 +547,11 @@ class FinitePoset:
 
     def _distributive_by_triples(self) -> bool:
         """Reference check of x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
-        t = self._lattice_tables()
+        join, meet = self._lattice_tables()
         for x in range(self.size):
-            lhs = t.meet[x, t.join]
-            mx = t.meet[x, :]
-            rhs = t.join[np.ix_(mx, mx)]
+            lhs = meet[x, join]
+            mx = meet[x, :]
+            rhs = join[np.ix_(mx, mx)]
             if not (lhs == rhs).all():
                 return False
         return True
@@ -625,15 +696,24 @@ class FinitePoset:
         self.rank()
         mod = self.modular_element_mask()
         cov = self.covers
-        bottom, top = self.bottom, self.top
-        stack: list[tuple[int, tuple[int, ...]]] = [(bottom, (bottom,))]
+        top = self.top
+        # depth first, lowest index first.  An element met a second time is
+        # a dead end: covers go up, so the search below its first visit has
+        # ended, and without reaching the top.  Skipping it leaves the
+        # order of first visits, and so the witness, unchanged.
+        parent: dict[int, int] = {}
+        stack = [(self.bottom, -1)]
         while stack:
-            v, chain = stack.pop()
+            v, p = stack.pop()
+            if v in parent:
+                continue
+            parent[v] = p
             if v == top:
-                return True, chain
-            nxt = [int(j) for j in np.where(cov[v, :] & mod)[0]]
-            for j in reversed(nxt):
-                stack.append((j, chain + (j,)))
+                chain = [v]
+                while parent[chain[-1]] >= 0:
+                    chain.append(parent[chain[-1]])
+                return True, tuple(chain[::-1])
+            stack += [(j, v) for j in reversed(np.flatnonzero(cov[v] & mod).tolist())]
         return False, None
 
     # -- derived posets --------------------------------------------------------
@@ -669,11 +749,11 @@ class FinitePoset:
                 ranks = None
         child = FinitePoset(self.leq[np.ix_(idx, idx)], labels=labels,
                             validate=False, ranks=ranks)
-        if "_tables" in self.__dict__ and self._tables.ok:
-            child._restrict_from = (self._tables.join, self._tables.meet, idx)
+        if self.__dict__.get("_tables") is not None:
+            child._restrict_from = (self, idx)
         elif self._restrict_from is not None:
-            join, meet, outer = self._restrict_from
-            child._restrict_from = (join, meet, outer[idx])
+            source, outer = self._restrict_from
+            child._restrict_from = (source, outer[idx])
         return child
 
 

@@ -1,6 +1,10 @@
 """Command line behavior: formats, exit codes, config handling."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +19,7 @@ from crosslat.cli import (
     parse_family_literal,
     parse_graph_literal,
 )
+from crosslat.crosslattice import MAX_POSET_ELEMENTS
 from crosslat.errors import CrossLatError
 from crosslat.theorem_suite import CriterionReport
 
@@ -108,6 +113,25 @@ def test_build_rejects_dot_format(capsys):
 
 def test_build_single_size_cap(capsys):
     assert main(["build", "--graph", "path A 25"]) == EXIT_CAP
+
+
+def test_analyze_over_element_budget_exits_before_allocating():
+    # path A 14 with nothing marked has 2**14 = 16,384 elements, over the
+    # poset budget; its dense order products would need several GB, so the
+    # call must end with exit 3 in a process that cannot map 3 GB
+    limit = 3 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crosslat.cli", "analyze", "--graph", "path A 14", "--j0", "{}"],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == EXIT_CAP, proc.stderr
+    assert proc.stderr == (f"error: poset view capped at {MAX_POSET_ELEMENTS} elements, "
+                           "got 16384\n")
 
 
 def test_build_rejects_out_of_range_node(capsys):

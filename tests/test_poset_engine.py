@@ -22,7 +22,6 @@ from crosslat.flags import MAX_DEGREE, flag_f_vector
 from crosslat.poset_engine import (
     CharPolynomial,
     FinitePoset,
-    _least_common_bounds,
     boolean_lattice,
     chain_poset,
     chain_product_poset,
@@ -229,6 +228,26 @@ def modular_mask_reference(p: FinitePoset) -> np.ndarray:
                      for v in range(p.size)])
 
 
+def assert_modular_masks_match(p: FinitePoset, name) -> None:
+    left = np.array([p.is_left_modular(v) for v in range(p.size)])
+    assert (p._left_modular_mask() == left).all(), name
+    assert p.is_modular_lattice() == left.all(), name
+    assert (p.modular_element_mask() == modular_mask_reference(p)).all(), name
+
+
+def supersolvable_by_search(p: FinitePoset):
+    """Reference search: depth first, expanding an element on every visit."""
+    mod = p.modular_element_mask()
+    stack = [(p.bottom, (p.bottom,))]
+    while stack:
+        v, chain = stack.pop()
+        if v == p.top:
+            return True, chain
+        for j in reversed(np.flatnonzero(p.covers[v] & mod).tolist()):
+            stack.append((j, chain + (j,)))
+    return False, None
+
+
 def family_lattices(kinds=("path_A", "cycle"), n_max=6):
     """Every cross section lattice of the given families up to n_max nodes."""
     for kind in kinds:
@@ -259,7 +278,7 @@ def test_birkhoff_distributivity_matches_triples():
 
 def test_modular_mask_matches_per_element_tests():
     for name, p in reference_lattices():
-        assert (p.modular_element_mask() == modular_mask_reference(p)).all(), name
+        assert_modular_masks_match(p, name)
 
 
 def test_supersolvable_witness_unchanged_by_modular_shortcut(monkeypatch):
@@ -268,6 +287,15 @@ def test_supersolvable_witness_unchanged_by_modular_shortcut(monkeypatch):
         ref = modular_mask_reference(p)
         monkeypatch.setattr(p, "modular_element_mask", lambda: ref)
         assert p.is_supersolvable_bruteforce() == fast, name
+
+
+def test_supersolvable_search_matches_full_search():
+    seen = set()
+    for name, p in family_lattices(kinds=("path_A",)):
+        found = p.is_supersolvable_bruteforce()
+        assert found == supersolvable_by_search(p), name
+        seen.add(found[0])
+    assert seen == {True, False}
 
 
 def macneille_completion(p: FinitePoset) -> FinitePoset:
@@ -294,7 +322,7 @@ def test_birkhoff_distributivity_matches_triples_on_random_lattices(p):
             p.is_distributive_lattice()
     for q in lattices:
         assert q.is_distributive_lattice() == q._distributive_by_triples()
-        assert (q.modular_element_mask() == modular_mask_reference(q)).all()
+        assert_modular_masks_match(q, "completion")
         assert_characterizations_match_searches(q, "completion")
 
 
@@ -309,6 +337,44 @@ def test_distributivity_needs_a_lattice():
                       p._distributive_by_triples):
             with pytest.raises(PreconditionError):
                 check()
+
+
+def least_common_bounds(bounds: np.ndarray, order: np.ndarray):
+    """Reference table of least common bounds, or None when some pair has none.
+
+    bounds[i, k] is true when k bounds i.  The first set bit of the AND of
+    two rows packed in `order` is the first common bound k, and it is the
+    least one exactly when k has as many bounds as the pair has.
+    """
+    n = len(order)
+    sizes = bounds.sum(axis=1)
+    words = -(-n // 64)
+    padded = np.zeros((n, 64 * words), dtype=bool)
+    padded[:, :n] = bounds[:, order]
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        common = packed[i] & packed
+        first = (common != 0).argmax(axis=1)
+        word = common[np.arange(n), first]
+        if not word.all():
+            return None
+        bit = np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
+        least = order[64 * first + bit]
+        if (sizes[least] != np.bitwise_count(common).sum(axis=1, dtype=np.int64)).any():
+            return None
+        table[i] = least
+    return table
+
+
+def tables_by_bitsets(p: FinitePoset):
+    """Reference two-sided build: each table checked by its own bound counts."""
+    order = np.asarray(p.linext, dtype=np.int64)
+    join = least_common_bounds(p.leq, order)
+    meet = None if join is None else least_common_bounds(p.leq.T, order[::-1])
+    if meet is None:
+        return None, None, False
+    return join, meet, True
 
 
 def tables_by_outer(p: FinitePoset):
@@ -359,13 +425,13 @@ def flag_f_vector_by_products(p: FinitePoset) -> dict:
 
 def relcomp_by_search(p: FinitePoset) -> bool:
     """Reference: every element of every interval has a complement in it."""
-    t = p._lattice_tables()
+    join, meet = p._lattice_tables()
     L = p.leq
     for x in range(p.size):
         for y in np.where(L[x, :])[0]:
             idx = np.where(L[x, :] & L[:, y])[0]
-            sub_join = t.join[np.ix_(idx, idx)]
-            sub_meet = t.meet[np.ix_(idx, idx)]
+            sub_join = join[np.ix_(idx, idx)]
+            sub_meet = meet[np.ix_(idx, idx)]
             if not ((sub_join == y) & (sub_meet == x)).any(axis=1).all():
                 return False
     return True
@@ -373,13 +439,13 @@ def relcomp_by_search(p: FinitePoset) -> bool:
 
 def atomic_by_joins(p: FinitePoset) -> bool:
     """Reference: fold the atoms below each element into their join."""
-    t = p._lattice_tables()
+    join, _ = p._lattice_tables()
     L = p.leq
     for w in range(p.size):
         acc = p.bottom
         for a in p.atoms():
             if L[a, w]:
-                acc = int(t.join[acc, a])
+                acc = int(join[acc, a])
         if acc != w:
             return False
     return True
@@ -472,15 +538,24 @@ def edge_size_posets():
         yield f"B{k}", boolean_lattice(k)
 
 
+def assert_tables_match(p: FinitePoset, join, meet, ok: bool, name) -> None:
+    """The checked join table, then the meet table built when read."""
+    assert p.is_lattice() == ok, name
+    if not ok:
+        assert p._tables is None, name
+        return
+    assert "_meet" not in p.__dict__, name
+    assert p._tables.dtype == join.dtype and (p._tables == join).all(), name
+    assert p._meet.dtype == meet.dtype and (p._meet == meet).all(), name
+
+
 def assert_routes_match_references(p: FinitePoset, name: str) -> None:
     join, meet, ok = tables_by_outer(p)
-    t = p._tables
-    assert t.ok == ok, name
+    ref_join, ref_meet, ref_ok = tables_by_bitsets(p)
+    assert ref_ok == ok, name
     if ok:
-        assert t.join.dtype == join.dtype and (t.join == join).all(), name
-        assert t.meet.dtype == meet.dtype and (t.meet == meet).all(), name
-    else:
-        assert t.join is None and t.meet is None, name
+        assert (ref_join == join).all() and (ref_meet == meet).all(), name
+    assert_tables_match(p, join, meet, ok, name)
     assert (p.covers == covers_by_int_matmul(p)).all(), name
     if p.bottom is None or p.top is None:
         return
@@ -507,9 +582,30 @@ def test_tables_covers_and_flags_match_references_on_random_posets(p):
 def test_tables_refuse_non_lattices():
     for name, p in non_lattices():
         assert tables_by_outer(p)[2] is False, name
+        assert tables_by_bitsets(p)[2] is False, name
         assert not p.is_lattice(), name
-        with pytest.raises(PreconditionError):
-            p.join(0, 1)
+        for op in (p.join, p.meet):
+            with pytest.raises(PreconditionError):
+                op(0, 1)
+
+
+def test_join_semilattice_without_bottom_is_not_a_lattice():
+    # two minimal elements below one maximal: every pair has a join, so
+    # only the missing bottom makes this no lattice
+    wedge = poset_from_cover_relations(3, [(1, 0), (2, 0)])
+    assert wedge.bottom is None
+    assert least_common_bounds(wedge.leq, np.asarray(wedge.linext)) is not None
+    assert not wedge.is_lattice()
+
+
+def test_meet_table_built_only_when_read():
+    p = CrossSectionLattice(family_graph("cycle", 6), 0b1).to_poset()
+    assert not p.is_distributive_lattice()
+    assert p._tables is not None and "_meet" not in p.__dict__
+    sub = p.interval_poset(p.bottom, p.top)
+    assert sub.is_lattice() and "_meet" not in sub.__dict__
+    # an interval's meet restricts the source's, built on that first read
+    assert sub.meet(0, sub.size - 1) == 0 and "_meet" in p.__dict__
 
 
 def mobius_by_linext(p: FinitePoset, x: int) -> np.ndarray:
@@ -575,13 +671,7 @@ def test_antichain_blocks():
 
 
 def assert_tables_fresh(q: FinitePoset, name: str) -> None:
-    order = np.asarray(q.linext, dtype=np.int64)
-    join = _least_common_bounds(q.leq, order)
-    meet = _least_common_bounds(q.leq.T, order[::-1])
-    t = q._tables
-    assert t.ok, name
-    assert t.join.dtype == join.dtype and (t.join == join).all(), name
-    assert t.meet.dtype == meet.dtype and (t.meet == meet).all(), name
+    assert_tables_match(q, *tables_by_bitsets(q), name)
 
 
 def test_interval_tables_restrict_lazily():
