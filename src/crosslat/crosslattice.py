@@ -22,9 +22,11 @@ import numpy as np
 MAX_ENUM_NODES = 24
 assert MAX_ENUM_NODES <= 32
 
-# The poset view holds dense N x N arrays; its largest step, the float32
-# product behind FinitePoset.covers, peaks at about 14 bytes per pair of
-# elements, so 12,000 elements keep an analysis under about 2 GB.
+# The poset view holds dense N x N arrays.  The float32 product behind
+# FinitePoset.covers peaks at about 11 bytes per pair of elements, and an
+# analysis that holds both int32 lattice tables at about 14 (266 MB peak
+# RSS for path A 12 with nothing marked, 4,096 elements), so 12,000
+# elements keep an analysis near 2 GB.
 MAX_POSET_ELEMENTS = 12_000
 
 

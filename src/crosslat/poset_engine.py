@@ -28,68 +28,102 @@ PartitionType = tuple[int, ...]
 
 ISO_SIZE_CAP = 5000
 
-# bytes of temporaries per block of rows in _first_common_bounds and per
-# block of cover edges in FinitePoset._left_modular_mask
+# bytes of temporaries per block of rows in _least_bounds and per block of
+# cover edges in FinitePoset._left_modular_mask
 _BOUNDS_BLOCK_BYTES = 1 << 18
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix product computed through float32 for speed."""
     # exact: each entry counts at most n < 2**24 products of 0 and 1
-    prod = a.astype(np.float32) @ b.astype(np.float32)
+    fa = a.astype(np.float32)
+    prod = fa @ (fa if b is a else b.astype(np.float32))
     return prod > 0.5
 
 
-def _first_common_bounds(bounds: np.ndarray, order: np.ndarray,
-                         upper: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-    """Table of each pair's first common bound in `order`, or None.
+def _first_key_bits(n: int) -> int:
+    """Bits of a key that _KeyIndex looks up in its direct table.
 
-    bounds[i, k] is true when k bounds i (an up-set row for joins, a
-    down-set row for meets).  The bounds of each pair (i, j) are the AND
-    of two rows packed into 64-bit words with columns in `order`, and the
-    first set bit is the first common bound in `order`.  The table is
-    symmetric, so each block of rows meets only the rows from its own
-    first one on.  Returns None when some pair has no common bound.
-
-    With `upper` (float32, upper[z, m] = 1 when z <= m, for each m of a
-    set M), U(z) is the set of elements of M above z and U U^T counts
-    U(x) & U(y).  Each pair's first common bound c must then have
-    |U(c)| = |U(x) & U(y)|, that is U(c) = U(x) & U(y) since c bounds
-    both, or the table is None.  When M holds every element with exactly
-    one upper cover, this makes each c the least upper bound:
-      - No z < d has U(z) = U(d).  Take z maximal with such a d.  An upper
-        cover a <= d of z has U(a) = U(d), so a = d by maximality.  z is
-        not in M, as z is in U(z) but not in U(d), so z has a second upper
-        cover b.  The first common upper bound e of d and b has
-        U(e) = U(d) & U(b) = U(b), so e = b by maximality, yet d <= e
-        and d, b are distinct covers of z.
-      - Any common upper bound z of x and y has U(z) inside U(c), so the
-        first common upper bound f of c and z has U(f) = U(z) and f = z
-        by the above: c <= z.
+    The table has 2**bits int32 entries, at most n*n bytes, but always
+    takes at least one byte of the key.
     """
-    n = len(order)
-    words = -(-n // 64)
-    padded = np.zeros((n, 64 * words), dtype=bool)
-    padded[:, :n] = bounds[:, order]
-    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    if upper is not None:
-        # exact: U(z) sizes and their intersections stay below 2**24
-        sizes = upper.sum(axis=1)
+    return max(8, (n * n).bit_length() - 3)
+
+
+class _KeyIndex:
+    """Exact lookup of the AND of two keys among n keys.
+
+    keys[i] is the key of row i, a boolean vector.  Keys are read a chunk at
+    a time.  The first _first_key_bits(n) bits go through a direct table to
+    a prefix id.  Each later byte goes through a table indexed by the
+    prefix id so far and the byte, to the id of the longer prefix; its last
+    row is all -1, so a missing prefix (id -1) stays missing.  The last
+    table gives rows in place of ids.  Rows with the same key share an id,
+    and the index keeps one of them.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        n, k = keys.shape
+        width = min(k, _first_key_bits(n))
+        self.head = keys[:, :width] @ (1 << np.arange(width, dtype=np.intp))
+        ids, prefix = np.unique(self.head, return_inverse=True)
+        first = np.full(1 << width, -1, dtype=np.int32)
+        first[ids] = np.arange(len(ids), dtype=np.int32)
+        self.tables = [first]
+        self.tail = np.packbits(keys[:, width:].T, axis=0, bitorder="little")
+        for byte in self.tail:
+            count = len(ids)
+            ids, prefix = np.unique(prefix * 256 + byte, return_inverse=True)
+            step = np.full((count + 1, 256), -1, dtype=np.int32)
+            step.flat[ids] = np.arange(len(ids), dtype=np.int32)
+            self.tables.append(step)
+        row = np.full(len(ids) + 1, -1, dtype=np.int32)
+        row[prefix] = np.arange(n, dtype=np.int32)
+        self.tables[-1] = row[self.tables[-1]]
+
+    def find_common(self, rows: slice) -> np.ndarray:
+        """Row with key keys[i] & keys[j], or -1, for i in rows and every j."""
+        first, *steps = self.tables
+        found = first[self.head[rows, None] & self.head]
+        for step, byte in zip(steps, self.tail):
+            found = step[found, byte[rows, None] & byte]
+        return found
+
+
+def _least_bounds(bounds: np.ndarray, single: np.ndarray,
+                  check: bool) -> Optional[np.ndarray]:
+    """Table of each pair's least common bound, found by key, or None.
+
+    bounds[i, k] is true when k bounds i (leq for joins, its transpose for
+    meets), and single selects the set M of elements with exactly one
+    upper cover (one lower cover for meets).  The key of z is U(z), the
+    set of elements of M that bound z, and each pair (x, y) takes the
+    element c with key U(x) & U(y) from a _KeyIndex.  In a lattice every
+    element is the meet of the elements of M above it (dually for meets),
+    so U is injective and U(x v y) = U(x) & U(y): c is the join, and
+    x v y = y exactly when x <= y.
+
+    With check, the table is None unless every pair finds its c and
+    c = y exactly when x <= y.  That makes each c the join:
+      - x = y gives c = x, so the index keeps x for U(x): U is injective,
+        and c = y exactly when U(y) lies inside U(x).  So U(y) inside U(x)
+        means x <= y.
+      - U(c) lies inside U(x) and U(y), so c bounds x and y.  Any common
+        bound z of x and y has U(z) inside U(x) & U(y) = U(c), so c <= z.
+    With a bottom, the poset is then a lattice.
+    """
+    n = len(bounds)
+    index = _KeyIndex(bounds[:, single])
     table = np.empty((n, n), dtype=np.int32)
-    block = max(1, _BOUNDS_BLOCK_BYTES // (8 * n * words))
+    cols = np.arange(n, dtype=np.int32)
+    # about 16 bytes of keys, ids and flags per pair of a block of rows
+    block = max(1, _BOUNDS_BLOCK_BYTES // (16 * n))
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        common = packed[start:stop, None, :] & packed[None, start:, :]
-        first = (common != 0).argmax(axis=2)
-        word = np.take_along_axis(common, first[..., None], axis=2)[..., 0]
-        if not word.all():
+        rows = slice(start, min(start + block, n))
+        least = index.find_common(rows)
+        if check and not (least.min() >= 0 and ((least == cols) == bounds[rows]).all()):
             return None
-        bit = np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
-        least = order[64 * first + bit]
-        if upper is not None and (sizes[least] != upper[start:stop] @ upper[start:].T).any():
-            return None
-        table[start:stop, start:] = least
-        table[start:, start:stop] = least.T
+        table[rows] = least
     return table
 
 
@@ -289,11 +323,9 @@ class FinitePoset:
         """The join table, or None when the poset is not a lattice.
 
         A finite join-semilattice with a bottom is a lattice, so the poset
-        is one exactly when it has a bottom and every pair has a join.
-        Each pair's first common upper bound is checked to be its join
-        through the set M of elements with exactly one upper cover, as in
-        _first_common_bounds.  In a lattice the check holds for any M,
-        since the elements above x and y are those above x v y.  The meet
+        is one exactly when it has a bottom and every pair has a join.  Each
+        pair's join is looked up by the set of elements with exactly one
+        upper cover above it and checked, as in _least_bounds.  The meet
         table is built only when read, by _meet.
         """
         if self._restrict_from is not None:
@@ -302,9 +334,7 @@ class FinitePoset:
         elif self.bottom is None:
             return None
         else:
-            order = np.asarray(self.linext, dtype=np.int64)
-            upper = self.leq[:, self.covers.sum(axis=1) == 1].astype(np.float32)
-            join = _first_common_bounds(self.leq, order, upper)
+            join = _least_bounds(self.leq, self.covers.sum(axis=1) == 1, check=True)
             if join is None:
                 return None
         join.setflags(write=False)
@@ -314,17 +344,15 @@ class FinitePoset:
     def _meet(self) -> np.ndarray:
         """The meet table of a lattice, built the first time it is read.
 
-        In a lattice every common lower bound of a pair lies below its
-        meet, so the meet is the first common lower bound in reverse
-        linear-extension order and needs no check.  Callers make sure the
-        poset is a lattice.
+        Dually to the join, each pair's meet is the element whose
+        join-irreducibles below it are those below both, and in a lattice
+        it needs no check.  Callers make sure the poset is a lattice.
         """
         if self._restrict_from is not None:
             source, idx = self._restrict_from
             meet = _restricted(source._meet, idx)
         else:
-            order = np.asarray(self.linext[::-1], dtype=np.int64)
-            meet = _first_common_bounds(self.leq.T, order)
+            meet = _least_bounds(self.leq.T, self.covers.sum(axis=0) == 1, check=False)
         meet.setflags(write=False)
         return meet
 

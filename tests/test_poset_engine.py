@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from crosslat.crosslattice import CrossSectionLattice
 from crosslat.errors import (
@@ -21,6 +21,8 @@ from crosslat.errors import (
 from crosslat.flags import MAX_DEGREE, flag_f_vector
 from crosslat.poset_engine import (
     CharPolynomial,
+    _KeyIndex,
+    _first_key_bits,
     FinitePoset,
     boolean_lattice,
     chain_poset,
@@ -403,6 +405,55 @@ def tables_by_outer(p: FinitePoset):
     return join, meet, True
 
 
+def first_common_bounds(bounds: np.ndarray, order: np.ndarray, upper=None):
+    """Reference table of each pair's first common bound in `order`, or None.
+
+    bounds[i, k] is true when k bounds i.  The first set bit of the AND of
+    two rows packed in `order` is the pair's first common bound c.  With
+    `upper` (upper[z, m] true when z <= m, for each m of a set M), U(z) is
+    the set of elements of M above z, and c must have U(c) = U(x) & U(y),
+    or the table is None.  When M holds every element with exactly one
+    upper cover and the poset has a bottom, this makes each c the join:
+      - No z < d has U(z) = U(d).  Take z maximal with such a d.  An upper
+        cover a <= d of z has U(a) = U(d), so a = d by maximality.  z is
+        not in M, as z is in U(z) but not in U(d), so z has a second upper
+        cover b.  The first common upper bound e of d and b has
+        U(e) = U(d) & U(b) = U(b), so e = b by maximality, yet d <= e
+        and d, b are distinct covers of z.
+      - Any common upper bound z of x and y has U(z) inside U(c), so the
+        first common upper bound f of c and z has U(f) = U(z) and f = z
+        by the above: c <= z.
+    """
+    n = len(order)
+    words = -(-n // 64)
+    padded = np.zeros((n, 64 * words), dtype=bool)
+    padded[:, :n] = bounds[:, order]
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        common = packed[i] & packed
+        first = (common != 0).argmax(axis=1)
+        word = common[np.arange(n), first]
+        if not word.all():
+            return None
+        bit = np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
+        least = order[64 * first + bit]
+        if upper is not None and (upper[least] != (upper[i] & upper)).any():
+            return None
+        table[i] = least
+    return table
+
+
+def tables_by_first_bounds(p: FinitePoset):
+    """Reference build by first common bounds: a checked join, an unchecked meet."""
+    order = np.asarray(p.linext, dtype=np.int64)
+    upper = p.leq[:, p.covers.sum(axis=1) == 1]
+    join = None if p.bottom is None else first_common_bounds(p.leq, order, upper)
+    if join is None:
+        return None, None, False
+    return join, first_common_bounds(p.leq.T, order[::-1]), True
+
+
 def covers_by_int_matmul(p: FinitePoset) -> np.ndarray:
     strict = (p.leq & ~np.eye(p.size, dtype=bool)).astype(np.int64)
     return (strict == 1) & ((strict @ strict) == 0)
@@ -528,6 +579,12 @@ def non_lattices():
     # every pair has common bounds, but 1 and 2 have two minimal upper ones
     yield "bowtie", poset_from_cover_relations(
         6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    # keys of the elements with one upper cover are distinct and x <= y
+    # exactly when U(y) lies inside U(x), but 1 and 2 have the two minimal
+    # upper bounds 5 and 6, and no element has the key U(1) & U(2)
+    yield "missing key", poset_from_cover_relations(8, [
+        (0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (2, 5), (2, 6), (3, 6),
+        (4, 7), (5, 7), (6, 7)])
 
 
 def edge_size_posets():
@@ -549,12 +606,19 @@ def assert_tables_match(p: FinitePoset, join, meet, ok: bool, name) -> None:
     assert p._meet.dtype == meet.dtype and (p._meet == meet).all(), name
 
 
-def assert_routes_match_references(p: FinitePoset, name: str) -> None:
+def assert_references_agree(p: FinitePoset, name) -> tuple:
+    """The outer-product tables, once the other reference builds agree."""
     join, meet, ok = tables_by_outer(p)
-    ref_join, ref_meet, ref_ok = tables_by_bitsets(p)
-    assert ref_ok == ok, name
-    if ok:
-        assert (ref_join == join).all() and (ref_meet == meet).all(), name
+    for build in (tables_by_bitsets, tables_by_first_bounds):
+        ref_join, ref_meet, ref_ok = build(p)
+        assert ref_ok == ok, (name, build.__name__)
+        if ok:
+            assert (ref_join == join).all() and (ref_meet == meet).all(), name
+    return join, meet, ok
+
+
+def assert_routes_match_references(p: FinitePoset, name: str) -> None:
+    join, meet, ok = assert_references_agree(p, name)
     assert_tables_match(p, join, meet, ok, name)
     assert (p.covers == covers_by_int_matmul(p)).all(), name
     if p.bottom is None or p.top is None:
@@ -606,6 +670,67 @@ def test_meet_table_built_only_when_read():
     assert sub.is_lattice() and "_meet" not in sub.__dict__
     # an interval's meet restricts the source's, built on that first read
     assert sub.meet(0, sub.size - 1) == 0 and "_meet" in p.__dict__
+
+
+@st.composite
+def bounded_posets(draw):
+    """A random poset of 2 to 7 elements with a new bottom and top added."""
+    inner = draw(random_posets(size=draw(st.integers(min_value=2, max_value=7))))
+    n = inner.size + 2
+    leq = np.zeros((n, n), dtype=bool)
+    leq[1:-1, 1:-1] = inner.leq
+    leq[0, :] = True
+    leq[:, -1] = True
+    return FinitePoset(leq)
+
+
+@seed(20101)
+@given(bounded_posets())
+@settings(max_examples=300, deadline=None)
+def test_key_lookup_matches_references_on_bounded_posets(p):
+    # a bottom always exists here, so the pair check alone decides
+    assert p.bottom == 0
+    assert_tables_match(p, *assert_references_agree(p, "bounded"), "bounded")
+
+
+def many_atoms(m: int) -> FinitePoset:
+    """M_m: m atoms between a bottom and a top, with m keys each way."""
+    return poset_from_cover_relations(
+        m + 2, [(0, a) for a in range(1, m + 1)] + [(a, m + 1) for a in range(1, m + 1)])
+
+
+def test_key_lookup_on_wide_keys():
+    for m in (8, 9, 20):
+        p = many_atoms(m)
+        # M_8 fills the direct table's bits exactly, M_9 and M_20 go past it
+        assert m - _first_key_bits(p.size) == {8: 0, 9: 1, 20: 12}[m]
+        assert_tables_match(p, *assert_references_agree(p, m), m)
+    # M_19 below a new top, with a twentieth atom that meets it only there
+    m = 20
+    wide = poset_from_cover_relations(
+        m + 3, [(0, a) for a in range(1, m + 1)] + [(a, m + 1) for a in range(1, m)]
+        + [(m, m + 2), (m + 1, m + 2)])
+    assert_tables_match(wide, *assert_references_agree(wide, "wide"), "wide")
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 20, 40])
+def test_key_index_finds_exactly_the_common_keys(width):
+    rng = np.random.default_rng(width)
+    keys = rng.random((30, width)) < 0.85
+    # rows sharing a long prefix with some AND of two rows but not its tail
+    ands = keys[rng.integers(0, 30, 10)] & keys[rng.integers(0, 30, 10)]
+    ands[:, -1:] ^= True
+    # and three rows that repeat a key
+    keys = np.vstack([keys, ands, keys[:3]])
+    found = _KeyIndex(keys).find_common(slice(None))
+    for i in range(len(keys)):
+        for j in range(len(keys)):
+            want = keys[i] & keys[j]
+            same = np.flatnonzero((keys == want).all(axis=1))
+            if len(same):
+                assert found[i, j] in same, (i, j)
+            else:
+                assert found[i, j] == -1, (i, j)
 
 
 def mobius_by_linext(p: FinitePoset, x: int) -> np.ndarray:
