@@ -28,9 +28,15 @@ PartitionType = tuple[int, ...]
 
 ISO_SIZE_CAP = 5000
 
-# bytes of temporaries per block of rows in _least_bounds and per block of
-# cover edges in FinitePoset._left_modular_mask
+# bytes of temporaries per block of rows in _least_bounds, the upper
+# semimodularity check and the modular-element mask
 _BOUNDS_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(n: int, pair_bytes: int) -> list[slice]:
+    """Slices of 0..n-1 whose temporaries of pair_bytes per pair fit the budget."""
+    step = max(1, _BOUNDS_BLOCK_BYTES // (pair_bytes * n))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,9 +123,7 @@ def _least_bounds(bounds: np.ndarray, single: np.ndarray,
     table = np.empty((n, n), dtype=np.int32)
     cols = np.arange(n, dtype=np.int32)
     # about 16 bytes of keys, ids and flags per pair of a block of rows
-    block = max(1, _BOUNDS_BLOCK_BYTES // (16 * n))
-    for start in range(0, n, block):
-        rows = slice(start, min(start + block, n))
+    for rows in _row_blocks(n, 16):
         least = index.find_common(rows)
         if check and not (least.min() >= 0 and ((least == cols) == bounds[rows]).all()):
             return None
@@ -467,14 +471,19 @@ class FinitePoset:
 
     def is_upper_semimodular(self) -> bool:
         """Birkhoff condition: x covers x^y implies x v y covers y."""
+        return self._upper_semimodular
+
+    @cached_property
+    def _upper_semimodular(self) -> bool:
         join, meet = self._lattice_tables()
-        n = self.size
         cov = self.covers
-        rows = np.arange(n)[:, None]
-        cols = np.arange(n)[None, :]
-        covers_meet = cov[meet, rows]
-        covers_join = cov[cols, join]
-        return bool((~covers_meet | covers_join).all())
+        cols = np.arange(self.size)
+        # about 16 bytes of gathered indices and flags per pair
+        for rows in _row_blocks(self.size, 16):
+            covers_meet = cov[meet[rows], cols[rows, None]]
+            if (covers_meet & ~cov[cols, join[rows]]).any():
+                return False
+        return True
 
     def is_modular_pair(self, a: int, b: int) -> bool:
         """Whether c v (a ^ b) = (c v a) ^ b for every c below b."""
@@ -501,49 +510,49 @@ class FinitePoset:
         rhs = meet[join[cs, :], b]
         return bool((lhs == rhs).all())
 
-    def _left_modular_mask(self) -> np.ndarray:
-        """Boolean vector of left-modular elements, from the cover pairs.
-
-        m is left modular exactly when no cover x < y has both x ^ m = y ^ m
-        and x v m = y v m.  For x <= y put p = x v (m ^ y) and
-        q = (x v m) ^ y: always p <= q, p ^ m = q ^ m = y ^ m and
-        p v m = q v m = x v m, so a failure p < q of left modularity leaves
-        every element of [p, q], and some cover inside it, with the same
-        meet and join with m.  Conversely such a cover x < y gives
-        x v (m ^ y) = x but (x v m) ^ y = y.  The tables are symmetric, so
-        the rows of a cover's two ends stand for their columns.
-        """
-        join, meet = self._lattice_tables()
-        src, dst = np.nonzero(self.covers)
-        failed = np.zeros(self.size, dtype=bool)
-        # four gathered int32 rows per cover edge
-        block = max(1, _BOUNDS_BLOCK_BYTES // (16 * self.size))
-        for start in range(0, len(src), block):
-            x, y = src[start:start + block], dst[start:start + block]
-            failed |= ((meet[x] == meet[y]) & (join[x] == join[y])).any(axis=0)
-        return ~failed
-
     def modular_element_mask(self) -> np.ndarray:
         """Boolean vector of elements that are both left and right modular.
 
-        A distributive lattice is modular, so every element is both left
-        and right modular and the mask is all true without a per-element
-        test; other lattices find the left-modular elements in one pass
-        over the covers and test right modularity on those alone.
+        m is left modular when (m, b) is a modular pair for every b, and
+        right modular when (b, m) is.  A distributive lattice is modular,
+        so there the mask is all true.  On an upper semimodular lattice
+        with rank r, (a, b) is a modular pair exactly when
+        r(a) + r(b) = r(a ^ b) + r(a v b):
+          - r is submodular, so x <= y gives r(x v a) - r(x) >= r(y v a) - r(y).
+          - If the identity holds, take c <= b, p = c v (a ^ b) and
+            q = (c v a) ^ b.  Then p <= q, p ^ a = a ^ b and
+            p v a = q v a = c v a.  Submodularity on (p, a) gives
+            r(p) >= r(a ^ b) + r(c v a) - r(a).  The line above on q <= b,
+            with the identity, gives r(q) <= that same value.  So p = q.
+          - If (a, b) is a modular pair, take a maximal chain
+            c_0 < ... < c_k from a ^ b up to b.  Modularity gives
+            c_i = (c_i v a) ^ b, so the joins c_i v a are distinct, and by
+            the first line each step raises their rank by at most one.  So
+            r(a v b) - r(a) = k = r(b) - r(a ^ b).
+        The identity is symmetric in a and b, so there left modular, right
+        modular and modular mean the same, and m is modular exactly when
+        its row of the identity holds everywhere.  Any other lattice tests
+        each element by the definition.
         """
         self._require_lattice()
         if self._distributive:
             out = np.ones(self.size, dtype=bool)
+        elif self._upper_semimodular:
+            join, meet = self._tables, self._meet
+            r = np.asarray(self.rank(), dtype=np.int32)
+            out = np.empty(self.size, dtype=bool)
+            # about 24 bytes of gathered indices and ranks per pair
+            for rows in _row_blocks(self.size, 24):
+                out[rows] = (r[rows, None] + r == r[join[rows]] + r[meet[rows]]).all(axis=1)
         else:
-            out = self._left_modular_mask()
-            for v in np.flatnonzero(out).tolist():
-                out[v] = self.is_right_modular(v)
+            out = np.array([self.is_left_modular(v) and self.is_right_modular(v)
+                            for v in range(self.size)], dtype=bool)
         out.setflags(write=False)
         return out
 
     def is_modular_lattice(self) -> bool:
-        """Whether every element is left modular, which makes it modular."""
-        return bool(self._left_modular_mask().all())
+        """Whether the lattice is upper semimodular and every element modular."""
+        return self._upper_semimodular and bool(self.modular_element_mask().all())
 
     def is_distributive_lattice(self) -> bool:
         """Whether the lattice is distributive, by Birkhoff's theorem.
@@ -572,17 +581,6 @@ class FinitePoset:
             if len(downsets) > self.size:
                 return False
         return len(downsets) == self.size
-
-    def _distributive_by_triples(self) -> bool:
-        """Reference check of x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
-        join, meet = self._lattice_tables()
-        for x in range(self.size):
-            lhs = meet[x, join]
-            mx = meet[x, :]
-            rhs = join[np.ix_(mx, mx)]
-            if not (lhs == rhs).all():
-                return False
-        return True
 
     # -- complements, atomicity, booleanness ---------------------------------
 
@@ -628,8 +626,6 @@ class FinitePoset:
             rtop = self.rank_of_top()
         except (GradednessError, PreconditionError):
             return False
-        if rtop > 30:
-            raise SizeLimitError("boolean comparison above rank 30 refused")
         if self.size != 1 << rtop:
             return False
         return posets_isomorphic(self, _shared_boolean_lattice(rtop))
@@ -721,7 +717,6 @@ class FinitePoset:
         """
         if not self.is_lattice() or not self.is_upper_semimodular():
             raise PreconditionError("supersolvability search needs an upper semimodular lattice")
-        self.rank()
         mod = self.modular_element_mask()
         cov = self.covers
         top = self.top
@@ -750,38 +745,30 @@ class FinitePoset:
         labels = self.labels
         return FinitePoset(self.leq.T.copy(), labels=labels, validate=False)
 
-    def interval_indices(self, x: int, y: int) -> list[int]:
-        x = self._check_index(x)
-        y = self._check_index(y)
-        if not self.leq[x, y]:
-            raise EmptyIntervalError(f"{x} is not below {y}")
-        return [int(i) for i in np.where(self.leq[x, :] & self.leq[:, y])[0]]
-
     def interval_poset(self, x: int, y: int) -> "FinitePoset":
         """The closed interval [x, y] as a poset of its own.
 
         An interval of a lattice is a lattice whose join and meet tables
         restrict from the parent's, so the parent's tables are handed down
-        and restricted only if the child reads them.
+        and restricted only if the child reads them.  Injected ranks are
+        handed down too, shifted to start at 0.
         """
-        idx = np.asarray(self.interval_indices(x, y), dtype=np.int64)
+        x = self._check_index(x)
+        y = self._check_index(y)
+        if not self.leq[x, y]:
+            raise EmptyIntervalError(f"{x} is not below {y}")
+        idx = np.flatnonzero(self.leq[x] & self.leq[:, y])
         labels = None
         if self.labels is not None:
-            labels = tuple(self.labels[int(i)] for i in idx)
+            labels = tuple(self.labels[i] for i in idx.tolist())
         ranks = None
-        if "_rank_vector" in self.__dict__ or self._injected_ranks is not None:
-            try:
-                full = self.rank()
-                ranks = tuple(full[int(i)] - full[int(x)] for i in idx)
-            except GradednessError:
-                ranks = None
+        if self._injected_ranks is not None:
+            base = self._injected_ranks[x]
+            ranks = tuple(self._injected_ranks[i] - base for i in idx.tolist())
         child = FinitePoset(self.leq[np.ix_(idx, idx)], labels=labels,
                             validate=False, ranks=ranks)
-        if self.__dict__.get("_tables") is not None:
+        if self.is_lattice():
             child._restrict_from = (self, idx)
-        elif self._restrict_from is not None:
-            source, outer = self._restrict_from
-            child._restrict_from = (source, outer[idx])
         return child
 
 

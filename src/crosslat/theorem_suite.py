@@ -397,8 +397,6 @@ def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None
                                     value, oracle, value == oracle))
 
     leq = poset.leq
-    # built first, so each interval_poset below inherits the parent's tables
-    poset.is_lattice()
     mismatch = 0
     for xi in range(poset.size):
         for yi in np.where(leq[xi, :])[0]:

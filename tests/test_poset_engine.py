@@ -5,6 +5,7 @@ Expected values here come from hand computation on small named posets
 fence) or from identities every poset must satisfy.
 """
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from crosslat.crosslattice import CrossSectionLattice
+from crosslat.diagram import build_custom_graph
 from crosslat.errors import (
     EmptyIntervalError,
     GradednessError,
@@ -232,7 +234,6 @@ def modular_mask_reference(p: FinitePoset) -> np.ndarray:
 
 def assert_modular_masks_match(p: FinitePoset, name) -> None:
     left = np.array([p.is_left_modular(v) for v in range(p.size)])
-    assert (p._left_modular_mask() == left).all(), name
     assert p.is_modular_lattice() == left.all(), name
     assert (p.modular_element_mask() == modular_mask_reference(p)).all(), name
 
@@ -259,12 +260,37 @@ def family_lattices(kinds=("path_A", "cycle"), n_max=6):
                 yield (kind, n, j0), CrossSectionLattice(g, j0).to_poset()
 
 
+def partition_lattice(k: int) -> FinitePoset:
+    """Set partitions of k points ordered by refinement: geometric, not modular."""
+    blocks_of = [[]]
+    for point in range(k):
+        blocks_of = [b[:i] + [b[i] | 1 << point] + b[i + 1:]
+                     for b in blocks_of for i in range(len(b))] + [
+                    b + [1 << point] for b in blocks_of]
+    parts = sorted((tuple(sorted(b)) for b in blocks_of), key=lambda b: (-len(b), b))
+    leq = [[all(any(x & ~y == 0 for y in q) for x in p) for q in parts] for p in parts]
+    return FinitePoset(np.array(leq))
+
+
 def reference_lattices():
     yield "N5", pentagon()
     yield "M3", diamond()
+    yield "Pi4", partition_lattice(4)
     yield "B3", boolean_lattice(3)
     yield "3x2", chain_product_poset((3, 2))
     yield from family_lattices()
+
+
+def distributive_by_triples(p: FinitePoset) -> bool:
+    """Reference check of x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
+    join, meet = p._lattice_tables()
+    for x in range(p.size):
+        lhs = meet[x, join]
+        mx = meet[x, :]
+        rhs = join[np.ix_(mx, mx)]
+        if not (lhs == rhs).all():
+            return False
+    return True
 
 
 def test_birkhoff_distributivity_matches_triples():
@@ -272,7 +298,7 @@ def test_birkhoff_distributivity_matches_triples():
     seen = set()
     for name, p in reference_lattices():
         fast = p.is_distributive_lattice()
-        assert fast == p._distributive_by_triples(), name
+        assert fast == distributive_by_triples(p), name
         assert expected.get(name, fast) == fast, name
         seen.add(fast)
     assert seen == {True, False}
@@ -300,6 +326,12 @@ def test_supersolvable_search_matches_full_search():
     assert seen == {True, False}
 
 
+def set_family_poset(sets) -> FinitePoset:
+    """Bitmask sets ordered by inclusion."""
+    arr = np.array(sorted(sets))
+    return FinitePoset((arr[:, None] & ~arr[None, :]) == 0)
+
+
 def macneille_completion(p: FinitePoset) -> FinitePoset:
     """The cuts L(U(A)) of p ordered by inclusion: a lattice for every poset."""
     cuts = set()
@@ -308,8 +340,7 @@ def macneille_completion(p: FinitePoset) -> FinitePoset:
         upper = p.leq[chosen].all(axis=0)
         lower = p.leq[:, upper].all(axis=1)
         cuts.add(sum(1 << int(i) for i in np.flatnonzero(lower)))
-    arr = np.array(sorted(cuts))
-    return FinitePoset((arr[:, None] & ~arr[None, :]) == 0)
+    return set_family_poset(cuts)
 
 
 @given(random_posets())
@@ -323,7 +354,7 @@ def test_birkhoff_distributivity_matches_triples_on_random_lattices(p):
         with pytest.raises(PreconditionError):
             p.is_distributive_lattice()
     for q in lattices:
-        assert q.is_distributive_lattice() == q._distributive_by_triples()
+        assert q.is_distributive_lattice() == distributive_by_triples(q)
         assert_modular_masks_match(q, "completion")
         assert_characterizations_match_searches(q, "completion")
 
@@ -336,9 +367,96 @@ def test_distributivity_needs_a_lattice():
     for p in (antichain, bowtie):
         assert not p.is_lattice()
         for check in (p.is_distributive_lattice, p.modular_element_mask,
-                      p._distributive_by_triples):
+                      lambda: distributive_by_triples(p)):
             with pytest.raises(PreconditionError):
                 check()
+
+
+@st.composite
+def union_closed_lattices(draw):
+    """The union closure of the prefixes of random words and a few random sets.
+
+    With the empty set it is a lattice under inclusion.  The prefixes alone
+    give the feasible sets of an antimatroid, an upper semimodular lattice;
+    the extra sets may break that.
+    """
+    k = draw(st.integers(min_value=3, max_value=6))
+    letters = st.integers(min_value=0, max_value=k - 1)
+    words = draw(st.lists(st.lists(letters, min_size=2, unique=True), min_size=2, max_size=5))
+    sets = {0}
+    for word in words:
+        prefix = 0
+        for letter in word:
+            prefix |= 1 << letter
+            sets.add(prefix)
+    sets |= set(draw(st.lists(st.integers(min_value=1, max_value=(1 << k) - 1), max_size=2)))
+    while True:
+        closed = {a | b for a in sets for b in sets}
+        if closed == sets:
+            return set_family_poset(sets)
+        sets = closed
+
+
+def assert_rank_identity_is_modular_pair(p: FinitePoset, name) -> None:
+    r = p.rank()
+    for a in range(p.size):
+        for b in range(p.size):
+            identity = r[a] + r[b] == r[p.meet(a, b)] + r[p.join(a, b)]
+            assert identity == p.is_modular_pair(a, b), (name, a, b)
+
+
+@seed(20109)
+@given(union_closed_lattices())
+@settings(max_examples=200, deadline=None)
+def test_rank_identity_is_modular_pair_on_random_semimodular_lattices(p):
+    assert_modular_masks_match(p, "union closure")
+    if p.is_upper_semimodular():
+        assert_rank_identity_is_modular_pair(p, "union closure")
+
+
+def test_rank_identity_is_modular_pair_on_named_lattices():
+    pi4 = partition_lattice(4)
+    # the modular partitions of four points have at most one block of two
+    # or more points: the bottom, the six single pairs, the four triples
+    # and the top
+    assert pi4.size == 15 and pi4.modular_element_mask().sum() == 12
+    assert not pi4.is_modular_lattice() and diamond().is_modular_lattice()
+    for name, p in reference_lattices():
+        if p.is_upper_semimodular() and p.size <= 40:
+            assert_rank_identity_is_modular_pair(p, name)
+
+
+def custom_graphs(count: int, n_max: int, rng: random.Random):
+    """Random simple graphs on 2 to n_max nodes."""
+    for _ in range(count):
+        n = rng.randint(2, n_max)
+        pairs = list(combinations(range(1, n + 1), 2))
+        yield build_custom_graph(n, [e for e in pairs if rng.random() < 0.4])
+
+
+def test_cross_section_lattices_are_upper_semimodular():
+    # joins are unions and a cover adds one node, so two covers of x ^ y
+    # join to a set one node larger than each
+    for key, p in family_lattices():
+        assert p.is_upper_semimodular(), key
+    for g in custom_graphs(30, 6, random.Random(20109)):
+        for j0 in range(g.full_mask + 1):
+            assert CrossSectionLattice(g, j0).to_poset().is_upper_semimodular(), (g, j0)
+
+
+def test_semimodular_mask_never_tests_elements_one_by_one(monkeypatch):
+    lattices = [(name, p, modular_mask_reference(p)) for name, p in reference_lattices()
+                if p.is_upper_semimodular() and not p.is_distributive_lattice()]
+    assert {"M3", "Pi4"} <= {name for name, _, _ in lattices}
+
+    def refuse(self, v):
+        raise AssertionError("per-element modularity test on a semimodular lattice")
+
+    monkeypatch.setattr(FinitePoset, "is_left_modular", refuse)
+    monkeypatch.setattr(FinitePoset, "is_right_modular", refuse)
+    for name, p, expected in lattices:
+        assert (p.modular_element_mask() == expected).all(), name
+        assert p.is_modular_lattice() == expected.all(), name
 
 
 def least_common_bounds(bounds: np.ndarray, order: np.ndarray):
@@ -807,7 +925,8 @@ def test_interval_tables_restrict_lazily():
                 sub = p.interval_poset(x, int(y))
                 assert sub.is_lattice(), (key, x, y)
                 assert "_tables" not in sub.__dict__, (key, x, y)
-                # an interval of an unread interval restricts the root's tables
+                # an interval of an unread interval restricts its parent's
+                # tables, which restrict the root's
                 inner = sub.interval_poset(sub.linext[min(1, sub.size - 1)], sub.top)
                 assert_tables_fresh(sub, (key, x, y))
                 assert_tables_fresh(inner, (key, x, y, "inner"))
@@ -832,6 +951,11 @@ def test_is_boolean_rejects_near_misses():
     # rank-symmetric non-boolean lattice of the right size: C2 x C4
     p = chain_product_poset((2, 4))
     assert p.size == 8 and not p.is_boolean()
+
+
+def test_is_boolean_compares_size_before_rank():
+    # rank 31 is too high for a Boolean lattice, but 32 elements decide it
+    assert not chain_poset(32).is_boolean()
 
 
 def test_join_irreducibles_of_products():
