@@ -5,7 +5,7 @@ criterion on one configuration, ``scan`` sweeps a graph family and compares
 criteria against brute-force oracles, ``export-dot`` writes the Hasse
 diagram.  Identical inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 usage or parse failure, 3 size cap exceeded,
+Exit codes: 0 success, 2 usage, parse or file failure, 3 size cap exceeded,
 4 criterion/oracle disagreement outside conjecture scans.
 """
 
@@ -124,9 +124,17 @@ def _parse_int(text: str) -> int:
         raise CrossLatError(f"expected an integer, got {text!r}") from None
 
 
+def _open(path: str, mode: str = "r"):
+    """open() for --config and --out; an OSError there is an input error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise CrossLatError(str(exc)) from None
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -158,7 +166,7 @@ class _Output:
 
     def write_data(self, text: str) -> None:
         if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8") as fh:
+            with _open(self.out_path, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -28,8 +28,7 @@ PartitionType = tuple[int, ...]
 
 ISO_SIZE_CAP = 5000
 
-# bytes of temporaries per block of rows in _least_bounds, the upper
-# semimodularity check and the modular-element mask
+# bytes of temporaries per block of rows in _least_bounds and _modular_by_rank
 _BOUNDS_BLOCK_BYTES = 1 << 18
 
 
@@ -240,11 +239,9 @@ class FinitePoset:
         L = self.leq
         if not L.diagonal().all():
             raise PreconditionError("relation is not reflexive")
-        both = L & L.T
-        if both.sum() != self.size:
+        if (L & L.T).sum() != self.size:
             raise PreconditionError("relation is not antisymmetric")
-        closure = _bool_matmul(L, L)
-        if (closure & ~L).any():
+        if (_bool_matmul(L, L) & ~L).any():
             raise PreconditionError("relation is not transitive")
 
     def __len__(self) -> int:
@@ -448,13 +445,11 @@ class FinitePoset:
 
     def join_irreducibles(self) -> list[int]:
         """Elements covering exactly one element."""
-        counts = self.covers.sum(axis=0)
-        return [int(v) for v in np.where(counts == 1)[0]]
+        return np.flatnonzero(self.covers.sum(axis=0) == 1).tolist()
 
     def maximal_chains(self) -> list[tuple[int, ...]]:
         """All inclusion-maximal chains, as index tuples bottom-up."""
-        cov = self.covers
-        succ = [sorted(int(j) for j in np.where(cov[i, :])[0]) for i in range(self.size)]
+        succ, _ = self._cover_lists
         minimals = sorted(int(i) for i in np.where(self.leq.sum(axis=0) == 1)[0])
         out: list[tuple[int, ...]] = []
         stack: list[tuple[int, tuple[int, ...]]] = [(m, (m,)) for m in reversed(minimals)]
@@ -470,20 +465,36 @@ class FinitePoset:
     # -- modularity and semimodularity --------------------------------------
 
     def is_upper_semimodular(self) -> bool:
-        """Birkhoff condition: x covers x^y implies x v y covers y."""
-        return self._upper_semimodular
+        """Whether x covering x^y implies x v y covers y, by _modular_by_rank."""
+        return self._modular_by_rank is not None
 
     @cached_property
-    def _upper_semimodular(self) -> bool:
+    def _modular_by_rank(self) -> Optional[np.ndarray]:
+        """The modular elements of an upper semimodular lattice, else None.
+
+        A finite lattice is upper semimodular exactly when it is graded and
+        r(x) + r(y) - r(x ^ y) - r(x v y) >= 0 for every pair (Stanley, EC1
+        Prop. 3.3.2); injected ranks count only if every cover raises them
+        by one.  The slack is computed in row blocks, and the rows where it
+        is 0 everywhere are the modular elements (modular_element_mask).
+        """
         join, meet = self._lattice_tables()
-        cov = self.covers
-        cols = np.arange(self.size)
-        # about 16 bytes of gathered indices and flags per pair
-        for rows in _row_blocks(self.size, 16):
-            covers_meet = cov[meet[rows], cols[rows, None]]
-            if (covers_meet & ~cov[cols, join[rows]]).any():
-                return False
-        return True
+        try:
+            r = np.asarray(self.rank(), dtype=np.int32)
+        except GradednessError:
+            return None
+        src, dst = np.nonzero(self.covers)
+        if (r[dst] != r[src] + 1).any():
+            return None
+        out = np.empty(self.size, dtype=bool)
+        # about 24 bytes of gathered indices and ranks per pair
+        for rows in _row_blocks(self.size, 24):
+            slack = r[rows, None] + r - r[join[rows]] - r[meet[rows]]
+            if slack.min() < 0:
+                return None
+            out[rows] = (slack == 0).all(axis=1)
+        out.setflags(write=False)
+        return out
 
     def is_modular_pair(self, a: int, b: int) -> bool:
         """Whether c v (a ^ b) = (c v a) ^ b for every c below b."""
@@ -514,9 +525,8 @@ class FinitePoset:
         """Boolean vector of elements that are both left and right modular.
 
         m is left modular when (m, b) is a modular pair for every b, and
-        right modular when (b, m) is.  A distributive lattice is modular,
-        so there the mask is all true.  On an upper semimodular lattice
-        with rank r, (a, b) is a modular pair exactly when
+        right modular when (b, m) is.  On an upper semimodular lattice with
+        rank r, (a, b) is a modular pair exactly when
         r(a) + r(b) = r(a ^ b) + r(a v b):
           - r is submodular, so x <= y gives r(x v a) - r(x) >= r(y v a) - r(y).
           - If the identity holds, take c <= b, p = c v (a ^ b) and
@@ -531,28 +541,19 @@ class FinitePoset:
             r(a v b) - r(a) = k = r(b) - r(a ^ b).
         The identity is symmetric in a and b, so there left modular, right
         modular and modular mean the same, and m is modular exactly when
-        its row of the identity holds everywhere.  Any other lattice tests
-        each element by the definition.
+        its row of slack in _modular_by_rank is 0 everywhere.  Any other
+        lattice tests each element by the definition.
         """
-        self._require_lattice()
-        if self._distributive:
-            out = np.ones(self.size, dtype=bool)
-        elif self._upper_semimodular:
-            join, meet = self._tables, self._meet
-            r = np.asarray(self.rank(), dtype=np.int32)
-            out = np.empty(self.size, dtype=bool)
-            # about 24 bytes of gathered indices and ranks per pair
-            for rows in _row_blocks(self.size, 24):
-                out[rows] = (r[rows, None] + r == r[join[rows]] + r[meet[rows]]).all(axis=1)
-        else:
-            out = np.array([self.is_left_modular(v) and self.is_right_modular(v)
-                            for v in range(self.size)], dtype=bool)
-        out.setflags(write=False)
-        return out
+        mask = self._modular_by_rank
+        if mask is None:
+            mask = np.array([self.is_left_modular(v) and self.is_right_modular(v)
+                             for v in range(self.size)], dtype=bool)
+            mask.setflags(write=False)
+        return mask
 
     def is_modular_lattice(self) -> bool:
         """Whether the lattice is upper semimodular and every element modular."""
-        return self._upper_semimodular and bool(self.modular_element_mask().all())
+        return self.is_upper_semimodular() and bool(self.modular_element_mask().all())
 
     def is_distributive_lattice(self) -> bool:
         """Whether the lattice is distributive, by Birkhoff's theorem.
@@ -633,12 +634,7 @@ class FinitePoset:
     # -- symmetry ------------------------------------------------------------
 
     def rank_counts(self) -> tuple[int, ...]:
-        ranks = self.rank()
-        top_rank = max(ranks)
-        counts = [0] * (top_rank + 1)
-        for r in ranks:
-            counts[r] += 1
-        return tuple(counts)
+        return tuple(np.bincount(self.rank()).tolist())
 
     def is_rank_symmetric(self) -> bool:
         counts = self.rank_counts()
@@ -672,12 +668,8 @@ class FinitePoset:
             for y in np.where(L[x, :])[0]:
                 sub = self.interval_poset(x, int(y))
                 key = tuple(np.bincount(np.asarray(sub.rank())).tolist())
-                hit = False
-                for ckey, rep in confirmed:
-                    if ckey == key and posets_isomorphic(sub, rep):
-                        hit = True
-                        break
-                if hit:
+                if any(ckey == key and posets_isomorphic(sub, rep)
+                       for ckey, rep in confirmed):
                     continue
                 if not posets_isomorphic(sub, sub.dual()):
                     return False

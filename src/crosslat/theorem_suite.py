@@ -423,11 +423,11 @@ def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None
     report("join_irreducible_set",
            "ok" if crit_ji == brute_ji else "set mismatch", "ok")
 
-    # one pass over pairs checks the meet/join formulas and the rank
-    # inequality r(x) + r(y) >= r(x v y) + r(x ^ y)
-    ranks = poset.rank()
+    # one pass over pairs checks the meet/join formulas and Birkhoff's
+    # covering condition: x covering x ^ y implies that x v y covers y
+    cov = poset.covers.tolist()
     mismatch = 0
-    rank_ok = True
+    covering_ok = True
     for i, u in enumerate(lat.elements):
         for j, v in enumerate(lat.elements):
             m, jn = poset.meet(i, j), poset.join(i, j)
@@ -435,12 +435,12 @@ def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None
                 mismatch += 1
             if lat.join(u, v) != lat.elements[jn]:
                 mismatch += 1
-            if ranks[i] + ranks[j] < ranks[jn] + ranks[m]:
-                rank_ok = False
+            if cov[m][i] and not cov[j][jn]:
+                covering_ok = False
     report("meet_glb_formula",
            "ok" if not mismatch else f"{mismatch} mismatches", "ok")
     report("upper_semimodularity",
-           str(poset.is_upper_semimodular()), str(rank_ok))
+           str(poset.is_upper_semimodular()), str(covering_ok))
 
     report("distributivity_free_connected",
            str(distributivity_criterion(lat)),

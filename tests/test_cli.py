@@ -102,6 +102,20 @@ def test_build_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "0\t0x0\t{}"
 
 
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    code = main(["build", "--graph", "path A 3", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_under_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "rows.txt"
+    code = main(["build", "--graph", "path A 3", "--out", str(target)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.parent.exists()
+
+
 def test_build_requires_graph(capsys):
     assert main(["build"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -446,6 +460,13 @@ def test_config_flag_wins_over_file(tmp_path, capsys):
     conf.write_text("graph = path A 3\nj0 = {2}\n")
     assert main(["build", "--config", str(conf), "--j0", "{}"]) == EXIT_OK
     assert capsys.readouterr().err.strip() == "8 elements"
+
+
+def test_config_naming_a_missing_file_exits_2(tmp_path, capsys):
+    conf = tmp_path / "absent.conf"
+    assert main(["build", "--config", str(conf)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(conf) in err
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from crosslat.crosslattice import CrossSectionLattice
-from crosslat.diagram import build_custom_graph
+from crosslat.diagram import build_custom_graph, parse_nodeset
 from crosslat.errors import (
     EmptyIntervalError,
     GradednessError,
@@ -232,7 +232,16 @@ def modular_mask_reference(p: FinitePoset) -> np.ndarray:
                      for v in range(p.size)])
 
 
+def usm_by_covers(p: FinitePoset) -> bool:
+    """Reference: Birkhoff's condition, x covers x ^ y implies x v y covers y."""
+    join, meet = p._lattice_tables()
+    cov = p.covers
+    cols = np.arange(p.size)
+    return not (cov[meet, cols[:, None]] & ~cov[cols, join]).any()
+
+
 def assert_modular_masks_match(p: FinitePoset, name) -> None:
+    assert p.is_upper_semimodular() == usm_by_covers(p), name
     left = np.array([p.is_left_modular(v) for v in range(p.size)])
     assert p.is_modular_lattice() == left.all(), name
     assert (p.modular_element_mask() == modular_mask_reference(p)).all(), name
@@ -305,8 +314,35 @@ def test_birkhoff_distributivity_matches_triples():
 
 
 def test_modular_mask_matches_per_element_tests():
+    seen = set()
     for name, p in reference_lattices():
         assert_modular_masks_match(p, name)
+        seen.add(p.is_upper_semimodular())
+    assert seen == {True, False}
+
+
+def test_rank_pass_refuses_negative_slack_and_ungraded_lattices():
+    # partitions with the finer one above: graded and lower, not upper, semimodular
+    pi4_dual = partition_lattice(4).dual()
+    r = np.asarray(pi4_dual.rank())
+    join, meet = pi4_dual._lattice_tables()
+    assert (r[:, None] + r < r[join] + r[meet]).any()
+    assert pi4_dual._modular_by_rank is None and not usm_by_covers(pi4_dual)
+    mask = pi4_dual.modular_element_mask()
+    assert (mask == modular_mask_reference(pi4_dual)).all()
+    assert 0 < mask.sum() < pi4_dual.size
+    n5 = pentagon()
+    with pytest.raises(GradednessError):
+        n5.rank()
+    assert n5._modular_by_rank is None and not usm_by_covers(n5)
+
+
+def test_distributive_mask_needs_no_distributivity_test():
+    path = CrossSectionLattice(family_graph("path_A", 5), parse_nodeset("{1}"))
+    for name, p in (("B3", boolean_lattice(3)), ("path A 5 {1}", path.to_poset())):
+        assert p.modular_element_mask().all(), name
+        assert "_distributive" not in p.__dict__, name
+        assert p.is_distributive_lattice(), name
 
 
 def test_supersolvable_witness_unchanged_by_modular_shortcut(monkeypatch):
@@ -434,20 +470,39 @@ def custom_graphs(count: int, n_max: int, rng: random.Random):
         yield build_custom_graph(n, [e for e in pairs if rng.random() < 0.4])
 
 
+def assert_popcount_grades_semimodular(p: FinitePoset, key) -> None:
+    src, dst = np.nonzero(p.covers)
+    ranks = np.asarray(p.rank())
+    assert (ranks[dst] == ranks[src] + 1).all(), key
+    assert p.is_upper_semimodular() and usm_by_covers(p), key
+
+
 def test_cross_section_lattices_are_upper_semimodular():
     # joins are unions and a cover adds one node, so two covers of x ^ y
     # join to a set one node larger than each
     for key, p in family_lattices():
-        assert p.is_upper_semimodular(), key
+        assert_popcount_grades_semimodular(p, key)
     for g in custom_graphs(30, 6, random.Random(20109)):
         for j0 in range(g.full_mask + 1):
-            assert CrossSectionLattice(g, j0).to_poset().is_upper_semimodular(), (g, j0)
+            assert_popcount_grades_semimodular(CrossSectionLattice(g, j0).to_poset(), (g, j0))
+
+
+def test_rank_pass_checks_injected_ranks_against_covers():
+    # with these ranks no slack of the pentagon is negative, but the cover
+    # 0 < 3 raises them by two, so they are no grading
+    n5 = pentagon()
+    bogus = FinitePoset(n5.leq, validate=False, ranks=(0, 1, 2, 2, 3))
+    r = np.asarray(bogus.rank())
+    join, meet = bogus._lattice_tables()
+    assert (r[:, None] + r >= r[join] + r[meet]).all()
+    assert not bogus.is_upper_semimodular()
+    assert (bogus.modular_element_mask() == modular_mask_reference(n5)).all()
 
 
 def test_semimodular_mask_never_tests_elements_one_by_one(monkeypatch):
     lattices = [(name, p, modular_mask_reference(p)) for name, p in reference_lattices()
-                if p.is_upper_semimodular() and not p.is_distributive_lattice()]
-    assert {"M3", "Pi4"} <= {name for name, _, _ in lattices}
+                if p.is_upper_semimodular()]
+    assert {"M3", "Pi4", "B3", "3x2"} <= {name for name, _, _ in lattices}
 
     def refuse(self, v):
         raise AssertionError("per-element modularity test on a semimodular lattice")
