@@ -168,8 +168,3 @@ class CrossSectionLattice:
             raise EmptyIntervalError(
                 f"interval [{hex(u)}, {hex(v)}] is empty")
         return self._poset.interval_poset(self.index(u), self.index(v))
-
-    def maximal_chains(self) -> list[tuple[int, ...]]:
-        """Maximal chains as tuples of element masks."""
-        chains = self._poset.maximal_chains()
-        return [tuple(self.elements[i] for i in ch) for ch in chains]

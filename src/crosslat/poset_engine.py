@@ -155,12 +155,6 @@ class CharPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def __mul__(self, other: "CharPolynomial") -> "CharPolynomial":
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
@@ -447,21 +441,6 @@ class FinitePoset:
         """Elements covering exactly one element."""
         return np.flatnonzero(self.covers.sum(axis=0) == 1).tolist()
 
-    def maximal_chains(self) -> list[tuple[int, ...]]:
-        """All inclusion-maximal chains, as index tuples bottom-up."""
-        succ, _ = self._cover_lists
-        minimals = sorted(int(i) for i in np.where(self.leq.sum(axis=0) == 1)[0])
-        out: list[tuple[int, ...]] = []
-        stack: list[tuple[int, tuple[int, ...]]] = [(m, (m,)) for m in reversed(minimals)]
-        while stack:
-            v, chain = stack.pop()
-            if not succ[v]:
-                out.append(chain)
-                continue
-            for nxt in reversed(succ[v]):
-                stack.append((nxt, chain + (nxt,)))
-        return out
-
     # -- modularity and semimodularity --------------------------------------
 
     def is_upper_semimodular(self) -> bool:
@@ -496,31 +475,6 @@ class FinitePoset:
         out.setflags(write=False)
         return out
 
-    def is_modular_pair(self, a: int, b: int) -> bool:
-        """Whether c v (a ^ b) = (c v a) ^ b for every c below b."""
-        join, meet = self._lattice_tables()
-        a = self._check_index(a)
-        b = self._check_index(b)
-        cs = np.where(self.leq[:, b])[0]
-        lhs = join[cs, meet[a, b]]
-        rhs = meet[join[cs, a], b]
-        return bool((lhs == rhs).all())
-
-    def is_left_modular(self, a: int) -> bool:
-        join, meet = self._lattice_tables()
-        a = self._check_index(a)
-        lhs = join[:, meet[a, :]]
-        rhs = meet[join[:, a], :]
-        return bool(((lhs == rhs) | ~self.leq).all())
-
-    def is_right_modular(self, b: int) -> bool:
-        join, meet = self._lattice_tables()
-        b = self._check_index(b)
-        cs = np.where(self.leq[:, b])[0]
-        lhs = join[np.ix_(cs, meet[:, b])]
-        rhs = meet[join[cs, :], b]
-        return bool((lhs == rhs).all())
-
     def modular_element_mask(self) -> np.ndarray:
         """Boolean vector of elements that are both left and right modular.
 
@@ -542,18 +496,12 @@ class FinitePoset:
         The identity is symmetric in a and b, so there left modular, right
         modular and modular mean the same, and m is modular exactly when
         its row of slack in _modular_by_rank is 0 everywhere.  Any other
-        lattice tests each element by the definition.
+        lattice raises PreconditionError.
         """
         mask = self._modular_by_rank
         if mask is None:
-            mask = np.array([self.is_left_modular(v) and self.is_right_modular(v)
-                             for v in range(self.size)], dtype=bool)
-            mask.setflags(write=False)
+            raise PreconditionError("modular elements need an upper semimodular lattice")
         return mask
-
-    def is_modular_lattice(self) -> bool:
-        """Whether the lattice is upper semimodular and every element modular."""
-        return self.is_upper_semimodular() and bool(self.modular_element_mask().all())
 
     def is_distributive_lattice(self) -> bool:
         """Whether the lattice is distributive, by Birkhoff's theorem.
@@ -614,8 +562,6 @@ class FinitePoset:
         covers the bottom.
         """
         self._require_lattice()
-        if self.bottom is None:
-            raise PreconditionError("atomicity needs a unique minimum")
         cov = self.covers
         return bool(cov[self.bottom, cov.sum(axis=0) == 1].all())
 
@@ -630,51 +576,6 @@ class FinitePoset:
         if self.size != 1 << rtop:
             return False
         return posets_isomorphic(self, _shared_boolean_lattice(rtop))
-
-    # -- symmetry ------------------------------------------------------------
-
-    def rank_counts(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.rank()).tolist())
-
-    def is_rank_symmetric(self) -> bool:
-        counts = self.rank_counts()
-        return counts == counts[::-1]
-
-    def is_locally_rank_symmetric(self) -> bool:
-        """Every interval has a palindromic rank-count vector."""
-        ranks = np.asarray(self.rank())
-        L = self.leq
-        for x in range(self.size):
-            for y in np.where(L[x, :])[0]:
-                idx = np.where(L[x, :] & L[:, y])[0]
-                counts = np.bincount(ranks[idx] - ranks[x])
-                if not (counts == counts[::-1]).all():
-                    return False
-        return True
-
-    def is_self_dual(self) -> bool:
-        return posets_isomorphic(self, self.dual())
-
-    def is_locally_self_dual(self) -> bool:
-        """Every interval is isomorphic to its own dual.
-
-        Intervals sharing a rank-count vector with a previously confirmed
-        one are not retested against that signature alone; the vector keys
-        a cache of already-settled interval shapes up to isomorphism.
-        """
-        L = self.leq
-        confirmed: list[tuple[tuple[int, ...], "FinitePoset"]] = []
-        for x in range(self.size):
-            for y in np.where(L[x, :])[0]:
-                sub = self.interval_poset(x, int(y))
-                key = tuple(np.bincount(np.asarray(sub.rank())).tolist())
-                if any(ckey == key and posets_isomorphic(sub, rep)
-                       for ckey, rep in confirmed):
-                    continue
-                if not posets_isomorphic(sub, sub.dual()):
-                    return False
-                confirmed.append((key, sub))
-        return True
 
     # -- factorization --------------------------------------------------------
 
@@ -732,10 +633,6 @@ class FinitePoset:
         return False, None
 
     # -- derived posets --------------------------------------------------------
-
-    def dual(self) -> "FinitePoset":
-        labels = self.labels
-        return FinitePoset(self.leq.T.copy(), labels=labels, validate=False)
 
     def interval_poset(self, x: int, y: int) -> "FinitePoset":
         """The closed interval [x, y] as a poset of its own.
@@ -821,29 +718,6 @@ def poset_from_cover_relations(n: int, covers: Iterable[tuple[int, int]]) -> Fin
             break
         rel = grown
     return FinitePoset(rel, validate=True)
-
-
-def fence6_poset() -> FinitePoset:
-    """Six-element rank-3 lattice with covers a<b, a<c, b<d, c<d, c<e, d<f, e<f."""
-    return poset_from_cover_relations(
-        6, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)])
-
-
-def classify_rank3_interval(p: FinitePoset) -> str:
-    """Tag a rank-3 bounded poset as boolean3, chain4, fence6, or other."""
-    try:
-        rtop = p.rank_of_top()
-    except (GradednessError, PreconditionError) as exc:
-        raise PreconditionError("classification needs a graded bounded poset") from exc
-    if rtop != 3:
-        raise PreconditionError(f"expected rank 3, got {rtop}")
-    if p.size == 8 and posets_isomorphic(p, _shared_boolean_lattice(3)):
-        return "boolean3"
-    if p.size == 4:
-        return "chain4"
-    if p.size == 6 and posets_isomorphic(p, fence6_poset()):
-        return "fence6"
-    return "other"
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -1,0 +1,160 @@
+"""Reference routes that the engine does not need, kept for the tests.
+
+Each helper answers by the definition or by a plain search, and takes the
+poset (or polynomial, or cross section lattice) as its first argument.  The
+engine in crosslat.poset_engine answers the same questions, where it needs
+them, through one faster route; the tests compare it against these.
+"""
+import numpy as np
+
+from crosslat.errors import GradednessError, PreconditionError
+from crosslat.poset_engine import (
+    CharPolynomial,
+    FinitePoset,
+    boolean_lattice,
+    poset_from_cover_relations,
+    posets_isomorphic,
+)
+
+
+def evaluate(poly: CharPolynomial, x: int) -> int:
+    """The polynomial's value at x, by Horner's rule."""
+    out = 0
+    for c in reversed(poly.coeffs):
+        out = out * x + c
+    return out
+
+
+# -- derived posets and chains -------------------------------------------------------
+
+
+def dual(p: FinitePoset) -> FinitePoset:
+    """The same elements with the order reversed."""
+    return FinitePoset(p.leq.T.copy(), labels=p.labels, validate=False)
+
+
+def maximal_chains(p: FinitePoset) -> list[tuple[int, ...]]:
+    """All inclusion-maximal chains, as index tuples bottom-up."""
+    succ, _ = p._cover_lists
+    minimals = np.flatnonzero(p.leq.sum(axis=0) == 1).tolist()
+    out: list[tuple[int, ...]] = []
+    stack = [(m, (m,)) for m in reversed(minimals)]
+    while stack:
+        v, chain = stack.pop()
+        if not succ[v]:
+            out.append(chain)
+            continue
+        for nxt in reversed(succ[v]):
+            stack.append((nxt, chain + (nxt,)))
+    return out
+
+
+def lattice_maximal_chains(lat) -> list[tuple[int, ...]]:
+    """Maximal chains of a CrossSectionLattice, as tuples of element masks."""
+    return [tuple(lat.elements[i] for i in ch) for ch in maximal_chains(lat.to_poset())]
+
+
+# -- symmetry ----------------------------------------------------------------------
+
+
+def rank_counts(p: FinitePoset) -> tuple[int, ...]:
+    return tuple(np.bincount(p.rank()).tolist())
+
+
+def is_rank_symmetric(p: FinitePoset) -> bool:
+    counts = rank_counts(p)
+    return counts == counts[::-1]
+
+
+def is_locally_rank_symmetric(p: FinitePoset) -> bool:
+    """Every interval has a palindromic rank-count vector."""
+    ranks = np.asarray(p.rank())
+    L = p.leq
+    for x in range(p.size):
+        for y in np.flatnonzero(L[x, :]):
+            idx = np.flatnonzero(L[x, :] & L[:, y])
+            counts = np.bincount(ranks[idx] - ranks[x])
+            if not (counts == counts[::-1]).all():
+                return False
+    return True
+
+
+def is_self_dual(p: FinitePoset) -> bool:
+    return posets_isomorphic(p, dual(p))
+
+
+def is_locally_self_dual(p: FinitePoset) -> bool:
+    """Every interval is isomorphic to its own dual.
+
+    An interval isomorphic to one already confirmed, which then shares its
+    rank-count vector, needs no test of its own against its dual.
+    """
+    confirmed: list[tuple[tuple[int, ...], FinitePoset]] = []
+    for x in range(p.size):
+        for y in np.flatnonzero(p.leq[x, :]).tolist():
+            sub = p.interval_poset(x, y)
+            key = rank_counts(sub)
+            if any(ckey == key and posets_isomorphic(sub, rep) for ckey, rep in confirmed):
+                continue
+            if not is_self_dual(sub):
+                return False
+            confirmed.append((key, sub))
+    return True
+
+
+# -- modularity by the definition ---------------------------------------------------
+
+
+def is_modular_pair(p: FinitePoset, a: int, b: int) -> bool:
+    """Whether c v (a ^ b) = (c v a) ^ b for every c below b."""
+    join, meet = p._lattice_tables()
+    cs = np.flatnonzero(p.leq[:, b])
+    return bool((join[cs, meet[a, b]] == meet[join[cs, a], b]).all())
+
+
+def is_left_modular(p: FinitePoset, a: int) -> bool:
+    """Whether (a, b) is a modular pair for every b."""
+    join, meet = p._lattice_tables()
+    lhs = join[:, meet[a, :]]
+    rhs = meet[join[:, a], :]
+    return bool(((lhs == rhs) | ~p.leq).all())
+
+
+def is_right_modular(p: FinitePoset, b: int) -> bool:
+    """Whether (a, b) is a modular pair for every a."""
+    join, meet = p._lattice_tables()
+    cs = np.flatnonzero(p.leq[:, b])
+    lhs = join[np.ix_(cs, meet[:, b])]
+    rhs = meet[join[cs, :], b]
+    return bool((lhs == rhs).all())
+
+
+def is_modular_lattice(p: FinitePoset) -> bool:
+    """Whether the lattice is upper semimodular and every element modular."""
+    return p.is_upper_semimodular() and bool(p.modular_element_mask().all())
+
+
+# -- rank 3 shapes -----------------------------------------------------------------
+
+
+def fence6_poset() -> FinitePoset:
+    """Six-element rank-3 lattice with covers a<b, a<c, b<d, c<d, c<e, d<f, e<f."""
+    return poset_from_cover_relations(
+        6, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)])
+
+
+def classify_rank3_interval(p: FinitePoset) -> str:
+    """Tag a rank-3 bounded poset as boolean3, chain4, fence6, or other."""
+    try:
+        rtop = p.rank_of_top()
+    except (GradednessError, PreconditionError) as exc:
+        raise PreconditionError("classification needs a graded bounded poset") from exc
+    if rtop != 3:
+        raise PreconditionError(f"expected rank 3, got {rtop}")
+    if p.size == 8 and posets_isomorphic(p, boolean_lattice(3)):
+        return "boolean3"
+    if p.size == 4:
+        return "chain4"
+    if p.size == 6 and posets_isomorphic(p, fence6_poset()):
+        return "fence6"
+    return "other"

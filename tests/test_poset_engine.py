@@ -12,6 +12,23 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from reference_routes import (
+    classify_rank3_interval,
+    dual,
+    evaluate,
+    fence6_poset,
+    is_left_modular,
+    is_locally_rank_symmetric,
+    is_locally_self_dual,
+    is_modular_lattice,
+    is_modular_pair,
+    is_rank_symmetric,
+    is_right_modular,
+    is_self_dual,
+    maximal_chains,
+    rank_counts,
+)
+
 from crosslat.crosslattice import CrossSectionLattice
 from crosslat.diagram import build_custom_graph, parse_nodeset
 from crosslat.errors import (
@@ -29,8 +46,6 @@ from crosslat.poset_engine import (
     boolean_lattice,
     chain_poset,
     chain_product_poset,
-    classify_rank3_interval,
-    fence6_poset,
     posets_isomorphic,
     poset_from_cover_relations,
 )
@@ -114,9 +129,9 @@ def test_boolean_lattice_basics():
     assert b3.is_distributive_lattice()
     assert b3.is_boolean()
     assert b3.is_upper_semimodular()
-    assert b3.rank_counts() == (1, 3, 3, 1)
+    assert rank_counts(b3) == (1, 3, 3, 1)
     assert len(b3.atoms()) == 3
-    assert len(b3.maximal_chains()) == 6
+    assert len(maximal_chains(b3)) == 6
 
 
 def test_join_meet_tables_match_definitions():
@@ -136,7 +151,7 @@ def test_pentagon_is_a_non_modular_lattice():
     n5 = pentagon()
     assert n5.is_lattice()
     assert not n5.is_upper_semimodular()
-    assert not n5.is_modular_lattice()
+    assert not is_modular_lattice(n5)
     assert not n5.is_distributive_lattice()
     with pytest.raises(PreconditionError):
         n5.is_supersolvable_bruteforce()  # stated for semimodular lattices
@@ -144,7 +159,7 @@ def test_pentagon_is_a_non_modular_lattice():
 
 def test_diamond_is_modular_not_distributive():
     m3 = diamond()
-    assert m3.is_modular_lattice()
+    assert is_modular_lattice(m3)
     assert not m3.is_distributive_lattice()
     assert m3.is_upper_semimodular()
     ok, chain = m3.is_supersolvable_bruteforce()
@@ -189,14 +204,14 @@ def test_characteristic_polynomials_of_named_lattices():
 
 def test_pentagon_modular_elements():
     n5 = pentagon()
-    mask = n5.modular_element_mask()
+    mask = modular_mask_reference(n5)
     # bounds and the lower chain element a are two-sided modular; the upper
     # chain element c fails on the right against b, and b fails on the left
     assert list(mask) == [True, True, False, False, True]
-    assert n5.is_left_modular(2) and not n5.is_right_modular(2)
-    assert not n5.is_left_modular(3) and n5.is_right_modular(3)
-    assert not n5.is_modular_pair(3, 2)
-    assert n5.is_modular_pair(2, 3)
+    assert is_left_modular(n5, 2) and not is_right_modular(n5, 2)
+    assert not is_left_modular(n5, 3) and is_right_modular(n5, 3)
+    assert not is_modular_pair(n5, 3, 2)
+    assert is_modular_pair(n5, 2, 3)
 
 
 def test_modular_pair_definition_agrees_with_bruteforce():
@@ -210,7 +225,7 @@ def test_modular_pair_definition_agrees_with_bruteforce():
                     rhs = n5.meet(n5.join(c, a), b)
                     if lhs != rhs:
                         expect = False
-            assert n5.is_modular_pair(a, b) == expect
+            assert is_modular_pair(n5, a, b) == expect
 
 
 def test_supersolvable_chain_is_maximal_and_modular():
@@ -220,7 +235,7 @@ def test_supersolvable_chain_is_maximal_and_modular():
     ranks = [b3.rank()[i] for i in chain]
     assert ranks == list(range(4))
     for i in chain:
-        assert b3.is_left_modular(i) and b3.is_right_modular(i)
+        assert is_left_modular(b3, i) and is_right_modular(b3, i)
 
 
 # -- fast routes against their reference routes ------------------------------------
@@ -228,7 +243,7 @@ def test_supersolvable_chain_is_maximal_and_modular():
 
 def modular_mask_reference(p: FinitePoset) -> np.ndarray:
     """The per-element route: one left and one right test per element."""
-    return np.array([p.is_left_modular(v) and p.is_right_modular(v)
+    return np.array([is_left_modular(p, v) and is_right_modular(p, v)
                      for v in range(p.size)])
 
 
@@ -242,9 +257,15 @@ def usm_by_covers(p: FinitePoset) -> bool:
 
 def assert_modular_masks_match(p: FinitePoset, name) -> None:
     assert p.is_upper_semimodular() == usm_by_covers(p), name
-    left = np.array([p.is_left_modular(v) for v in range(p.size)])
-    assert p.is_modular_lattice() == left.all(), name
-    assert (p.modular_element_mask() == modular_mask_reference(p)).all(), name
+    left = np.array([is_left_modular(p, v) for v in range(p.size)])
+    assert is_modular_lattice(p) == left.all(), name
+    if not p.is_upper_semimodular():
+        with pytest.raises(PreconditionError):
+            p.modular_element_mask()
+        return
+    mask = p.modular_element_mask()
+    assert (mask == modular_mask_reference(p)).all(), name
+    assert is_modular_lattice(p) == mask.all(), name
 
 
 def supersolvable_by_search(p: FinitePoset):
@@ -314,23 +335,22 @@ def test_birkhoff_distributivity_matches_triples():
 
 
 def test_modular_mask_matches_per_element_tests():
-    seen = set()
+    semimodular = set()
     for name, p in reference_lattices():
         assert_modular_masks_match(p, name)
-        seen.add(p.is_upper_semimodular())
-    assert seen == {True, False}
+        if p.is_upper_semimodular():
+            semimodular.add(name)
+    assert {"M3", "Pi4", "B3", "3x2"} <= semimodular and "N5" not in semimodular
 
 
 def test_rank_pass_refuses_negative_slack_and_ungraded_lattices():
     # partitions with the finer one above: graded and lower, not upper, semimodular
-    pi4_dual = partition_lattice(4).dual()
+    pi4_dual = dual(partition_lattice(4))
     r = np.asarray(pi4_dual.rank())
     join, meet = pi4_dual._lattice_tables()
     assert (r[:, None] + r < r[join] + r[meet]).any()
     assert pi4_dual._modular_by_rank is None and not usm_by_covers(pi4_dual)
-    mask = pi4_dual.modular_element_mask()
-    assert (mask == modular_mask_reference(pi4_dual)).all()
-    assert 0 < mask.sum() < pi4_dual.size
+    assert 0 < modular_mask_reference(pi4_dual).sum() < pi4_dual.size
     n5 = pentagon()
     with pytest.raises(GradednessError):
         n5.rank()
@@ -438,7 +458,7 @@ def assert_rank_identity_is_modular_pair(p: FinitePoset, name) -> None:
     for a in range(p.size):
         for b in range(p.size):
             identity = r[a] + r[b] == r[p.meet(a, b)] + r[p.join(a, b)]
-            assert identity == p.is_modular_pair(a, b), (name, a, b)
+            assert identity == is_modular_pair(p, a, b), (name, a, b)
 
 
 @seed(20109)
@@ -456,7 +476,7 @@ def test_rank_identity_is_modular_pair_on_named_lattices():
     # or more points: the bottom, the six single pairs, the four triples
     # and the top
     assert pi4.size == 15 and pi4.modular_element_mask().sum() == 12
-    assert not pi4.is_modular_lattice() and diamond().is_modular_lattice()
+    assert not is_modular_lattice(pi4) and is_modular_lattice(diamond())
     for name, p in reference_lattices():
         if p.is_upper_semimodular() and p.size <= 40:
             assert_rank_identity_is_modular_pair(p, name)
@@ -496,22 +516,15 @@ def test_rank_pass_checks_injected_ranks_against_covers():
     join, meet = bogus._lattice_tables()
     assert (r[:, None] + r >= r[join] + r[meet]).all()
     assert not bogus.is_upper_semimodular()
-    assert (bogus.modular_element_mask() == modular_mask_reference(n5)).all()
 
 
-def test_semimodular_mask_never_tests_elements_one_by_one(monkeypatch):
-    lattices = [(name, p, modular_mask_reference(p)) for name, p in reference_lattices()
-                if p.is_upper_semimodular()]
-    assert {"M3", "Pi4", "B3", "3x2"} <= {name for name, _, _ in lattices}
-
-    def refuse(self, v):
-        raise AssertionError("per-element modularity test on a semimodular lattice")
-
-    monkeypatch.setattr(FinitePoset, "is_left_modular", refuse)
-    monkeypatch.setattr(FinitePoset, "is_right_modular", refuse)
-    for name, p, expected in lattices:
-        assert (p.modular_element_mask() == expected).all(), name
-        assert p.is_modular_lattice() == expected.all(), name
+def test_modular_mask_refuses_lattices_that_are_not_upper_semimodular():
+    n5 = pentagon()
+    injected = FinitePoset(n5.leq, validate=False, ranks=(0, 1, 2, 2, 3))
+    for p in (n5, injected, dual(partition_lattice(4))):
+        assert p.is_lattice()
+        with pytest.raises(PreconditionError):
+            p.modular_element_mask()
 
 
 def least_common_bounds(bounds: np.ndarray, order: np.ndarray):
@@ -748,7 +761,7 @@ def non_lattices():
     # 1 and 2 have no upper bound; in the dual, no lower bound
     vee = poset_from_cover_relations(3, [(0, 1), (0, 2)])
     yield "vee", vee
-    yield "wedge", vee.dual()
+    yield "wedge", dual(vee)
     # every pair has common bounds, but 1 and 2 have two minimal upper ones
     yield "bowtie", poset_from_cover_relations(
         6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
@@ -946,7 +959,7 @@ def assert_mobius_matches_reference(p: FinitePoset, name: str) -> None:
 def test_mobius_rows_match_reference():
     for name, p in reference_lattices():
         assert_mobius_matches_reference(p, name)
-        assert_mobius_matches_reference(p.dual(), f"{name} dual")
+        assert_mobius_matches_reference(dual(p), f"{name} dual")
 
 
 @given(random_posets())
@@ -954,7 +967,7 @@ def test_mobius_rows_match_reference():
 def test_mobius_rows_match_reference_on_random_posets(p):
     completion = macneille_completion(p)
     for name, q in (("draw", p), ("completion", completion),
-                    ("dual", p.dual()), ("completion dual", completion.dual())):
+                    ("dual", dual(p)), ("completion dual", dual(completion))):
         assert_mobius_matches_reference(q, name)
 
 
@@ -1039,20 +1052,20 @@ def test_factorization_none_when_irreducibles_entangle():
 
 
 def test_rank_symmetry_predicates():
-    assert boolean_lattice(3).is_rank_symmetric()
-    assert boolean_lattice(3).is_locally_rank_symmetric()
-    assert chain_product_poset((3, 3)).is_locally_rank_symmetric()
+    assert is_rank_symmetric(boolean_lattice(3))
+    assert is_locally_rank_symmetric(boolean_lattice(3))
+    assert is_locally_rank_symmetric(chain_product_poset((3, 3)))
     p = poset_from_cover_relations(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
-    assert not p.is_rank_symmetric()
+    assert not is_rank_symmetric(p)
 
 
 def test_self_dual_predicates():
-    assert boolean_lattice(3).is_self_dual()
-    assert chain_poset(5).is_self_dual()
-    assert boolean_lattice(2).is_locally_self_dual()
+    assert is_self_dual(boolean_lattice(3))
+    assert is_self_dual(chain_poset(5))
+    assert is_locally_self_dual(boolean_lattice(2))
     p = poset_from_cover_relations(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
-    assert not p.is_self_dual()
-    assert not p.is_locally_self_dual()
+    assert not is_self_dual(p)
+    assert not is_locally_self_dual(p)
 
 
 # -- intervals and classification -------------------------------------------------
@@ -1081,8 +1094,8 @@ def test_classify_rank3_shapes():
 
 def test_maximal_chains_deterministic():
     b2 = boolean_lattice(2)
-    chains = b2.maximal_chains()
-    assert chains == b2.maximal_chains()
+    chains = maximal_chains(b2)
+    assert chains == maximal_chains(b2)
     assert len(chains) == 2
     for chain in chains:
         assert chain[0] == b2.bottom and chain[-1] == b2.top
@@ -1157,7 +1170,7 @@ def test_charpoly_arithmetic():
                 CharPolynomial.from_roots([0] * a + [1] * b), (a, b)
     assert str(CharPolynomial((0, 0, 1, -2, 1))) == "x^4 - 2x^3 + x^2"
     assert str(one) == "1"
-    assert CharPolynomial((1, -2, 1)).evaluate(3) == 4
+    assert evaluate(CharPolynomial((1, -2, 1)), 3) == 4
     assert CharPolynomial((0, 0, 0)).degree == 0
 
 

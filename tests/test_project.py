@@ -1,0 +1,72 @@
+"""Project-level checks: the oracle's import boundary and the README example."""
+
+import ast
+from pathlib import Path
+
+import crosslat
+
+PACKAGE = Path(crosslat.__file__).parent
+TESTS = Path(__file__).parent
+README = TESTS.parent / "README.md"
+
+# modules that know about graphs, criteria or the command line
+GRAPH_SIDE = {"crosslattice", "diagram", "theorem_suite", "cli"}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Each module the file imports, as its dotted name without leading dots.
+
+    `from . import x` and `from crosslat import x` count as importing x.
+    """
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            out.add(base)
+            if base in ("", "crosslat"):
+                out |= {alias.name for alias in node.names}
+    return out
+
+
+def module_parts(name: str) -> set[str]:
+    return set(name.split("."))
+
+
+def test_oracle_imports_nothing_graph_side():
+    for name in ("poset_engine.py", "flags.py"):
+        for module in imported_modules(PACKAGE / name):
+            assert not module_parts(module) & GRAPH_SIDE, (name, module)
+
+
+def test_package_imports_nothing_from_the_tests():
+    test_modules = {path.stem for path in TESTS.glob("*.py")} | {"tests"}
+    assert "reference_routes" in test_modules
+    for path in sorted(PACKAGE.glob("*.py")):
+        for module in imported_modules(path):
+            assert not module_parts(module) & test_modules, (path.name, module)
+
+
+def library_example() -> str:
+    """The fenced python block of the README's Library section."""
+    text = README.read_text()
+    section = text[text.index("\n## Library\n"):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
+
+
+def test_readme_library_example_gives_its_commented_values():
+    code = library_example()
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    lines = code.splitlines()
+    checked = []
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr):
+            comment = lines[stmt.lineno - 1].partition("#")[2].strip()
+            value = str(eval(compile(ast.Expression(stmt.value), "README.md", "eval"),
+                             namespace))
+            assert comment.startswith(value), (comment, value)
+            checked.append(value)
+    assert checked == ["x^5 - 2x^4 + x^3", "(3, 2)"]
