@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from typing import Optional, Sequence
 
 from .crosslattice import CrossSectionLattice
 from .diagram import (
@@ -42,6 +43,7 @@ from .theorem_suite import (
     HYPOTHESIS_NOTES,
     SCAN_FUNCTIONS,
     SCAN_RULES,
+    CriterionReport,
     charpoly_formula,
     combinatorially_smooth_typeA,
     construct_m_chain,
@@ -158,22 +160,31 @@ def _apply_config_defaults(args: argparse.Namespace) -> None:
             setattr(args, attr, _parse_int(value) if attr in ("n_max", "jobs") else value)
 
 
-class _Output:
-    """Routes data to stdout or a file, and the summary to the other one."""
+def _emit(out_path: Optional[str], data: str, summary: str) -> None:
+    """Write data to out_path or stdout, and the summary line to the other one."""
+    if out_path:
+        with _open(out_path, "w") as fh:
+            fh.write(data)
+        sys.stdout.write(summary + "\n")
+    else:
+        sys.stdout.write(data)
+        sys.stderr.write(summary + "\n")
 
-    def __init__(self, out_path: Optional[str]):
-        self.out_path = out_path
 
-    def write_data(self, text: str) -> None:
-        if self.out_path:
-            with _open(self.out_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
-    def write_summary(self, line: str) -> None:
-        stream = sys.stdout if self.out_path else sys.stderr
-        stream.write(line + "\n")
+def _table_text(command: str, fmt: str, fields: Sequence[str], rows: list[dict]) -> str:
+    """Rows as tab-separated text, csv with a header line, or indented json."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    cells = ([_scalar_text(row[f]) for f in fields] for row in rows)
+    if fmt == "text":
+        return "".join("\t".join(line) + "\n" for line in cells)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(cells)
+        return buf.getvalue()
+    raise CrossLatError(f"{command} does not support format {fmt!r}")
 
 
 def _build_lattice(args: argparse.Namespace) -> CrossSectionLattice:
@@ -186,24 +197,20 @@ def _build_lattice(args: argparse.Namespace) -> CrossSectionLattice:
 
 def cmd_build(args: argparse.Namespace) -> int:
     lat = _build_lattice(args)
-    fmt = args.format or "text"
-    rows = [
-        {"rank": lat.rank(m), "mask": f"0x{m:x}", "members": format_nodeset(m)}
-        for m in lat.elements
-    ]
-    if fmt == "text":
-        body = "".join(f"{r['rank']}\t{r['mask']}\t{r['members']}\n" for r in rows)
-    elif fmt == "json":
-        body = json.dumps(rows, indent=2) + "\n"
-    elif fmt == "csv":
-        body = _csv_text(["rank", "mask", "members"], [
-            [str(r["rank"]), r["mask"], r["members"]] for r in rows])
-    else:
-        raise CrossLatError(f"build does not support format {fmt!r}")
-    out = _Output(args.out)
-    out.write_data(body)
-    out.write_summary(f"{len(rows)} elements")
+    fields = ("rank", "mask", "members")
+    rows = [dict(zip(fields, (lat.rank(m), f"0x{m:x}", format_nodeset(m))))
+            for m in lat.elements]
+    body = _table_text("build", args.format or "text", fields, rows)
+    _emit(args.out, body, f"{len(rows)} elements")
     return EXIT_OK
+
+
+def _within_hypothesis(criterion, lat: CrossSectionLattice, error: type):
+    """criterion(lat), or None when lat lies outside the criterion's statement."""
+    try:
+        return criterion(lat)
+    except error:
+        return None
 
 
 def _analyze_report(lat: CrossSectionLattice) -> tuple[dict, bool]:
@@ -226,10 +233,7 @@ def _analyze_report(lat: CrossSectionLattice) -> tuple[dict, bool]:
         ],
     }
 
-    try:
-        crit_distributive = distributivity_criterion(lat)
-    except PreconditionError:
-        crit_distributive = None
+    crit_distributive = _within_hypothesis(distributivity_criterion, lat, PreconditionError)
     engine_distributive = poset.is_distributive_lattice()
     # the free-connected test is a theorem on trees only; elsewhere the
     # criterion value is reported without an agreement claim
@@ -256,10 +260,7 @@ def _analyze_report(lat: CrossSectionLattice) -> tuple[dict, bool]:
     }
 
     supersolvable = None
-    try:
-        crit_ss = supersolvability_criterion(lat)
-    except UnsupportedGraphError:
-        crit_ss = None
+    crit_ss = _within_hypothesis(supersolvability_criterion, lat, UnsupportedGraphError)
     if crit_ss is not None:
         brute_ss, witness = poset.is_supersolvable_bruteforce()
         if crit_ss != brute_ss:
@@ -290,10 +291,7 @@ def _analyze_report(lat: CrossSectionLattice) -> tuple[dict, bool]:
             partition_type = list(fact)
     report["partition_type"] = partition_type
 
-    try:
-        smooth = combinatorially_smooth_typeA(lat)
-    except UnsupportedGraphError:
-        smooth = None
+    smooth = _within_hypothesis(combinatorially_smooth_typeA, lat, UnsupportedGraphError)
     if smooth and not engine_distributive:
         breach = True
     report["combinatorially_smooth"] = smooth
@@ -333,9 +331,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         body = "".join(line + "\n" for line in lines)
     else:
         raise CrossLatError(f"analyze does not support format {fmt!r}")
-    out = _Output(args.out)
-    out.write_data(body)
-    out.write_summary("breach detected" if breach else "ok")
+    _emit(args.out, body, "breach detected" if breach else "ok")
     return EXIT_BREACH if breach else EXIT_OK
 
 
@@ -367,29 +363,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows = [r for part in parts for r in part]
 
     dicts = [r.to_row() for r in rows]
-    fmt = args.format or "text"
-    fields = ["graph", "n", "j0_mask", "criterion", "value", "oracle", "agree", "note"]
-    if fmt == "json":
-        body = json.dumps(dicts, indent=2) + "\n"
-    elif fmt == "csv":
-        body = _csv_text(fields, [
-            [_scalar_text(d[f]) for f in fields] for d in dicts])
-    elif fmt == "text":
-        body = "".join(
-            "\t".join(_scalar_text(d[f]) for f in fields) + "\n" for d in dicts)
-    else:
-        raise CrossLatError(f"scan does not support format {fmt!r}")
+    fields = [f.name for f in dataclasses.fields(CriterionReport)]
+    body = _table_text("scan", args.format or "text", fields, dicts)
 
     agree = sum(1 for d in dicts if d["agree"])
     flagged = sum(1 for d in dicts if d["note"] in HYPOTHESIS_NOTES)
     disagree = sum(
         1 for d in dicts if not d["agree"] and d["note"] not in HYPOTHESIS_NOTES)
     skipped = len(chunks) if rule.skips_degenerate else 0
-    out = _Output(args.out)
-    out.write_data(body)
-    out.write_summary(
-        f"rows={len(dicts)} agree={agree} disagree={disagree} "
-        f"flagged={flagged} degenerate-skipped={skipped}")
+    _emit(args.out, body,
+          f"rows={len(dicts)} agree={agree} disagree={disagree} "
+          f"flagged={flagged} degenerate-skipped={skipped}")
     if disagree and rule.theorem_grade:
         return EXIT_BREACH
     return EXIT_OK
@@ -410,18 +394,9 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     for a, b in edges:
         lines.append(f"  e{a} -> e{b};")
     lines.append("}")
-    out = _Output(args.out)
-    out.write_data("".join(line + "\n" for line in lines))
-    out.write_summary(f"{len(lat)} nodes, {len(edges)} cover edges")
+    _emit(args.out, "".join(line + "\n" for line in lines),
+          f"{len(lat)} nodes, {len(edges)} cover edges")
     return EXIT_OK
-
-
-def _csv_text(fields: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _add_common(parser: argparse.ArgumentParser, *, family: bool) -> None:

@@ -4,7 +4,9 @@ For a bounded graded poset of rank n, alpha(I) counts chains in the
 proper part whose rank set is exactly I, for I a subset of 1..n-1.
 beta is the inclusion-exclusion transform of alpha.  Both live in a
 quasi-symmetric generating function, stored with exact integer
-coefficients keyed by subsets (equivalently compositions of n).
+coefficients keyed by subsets (equivalently compositions of n).  Flag
+counts are exact in int64, or refused with SizeLimitError when they could
+leave it.
 """
 from __future__ import annotations
 
@@ -117,6 +119,14 @@ class QuasiSymFunction:
         return {"degree": self.degree, "basis": self.basis, "terms": rows}
 
 
+@cache
+def _rank_sets(degree: int) -> tuple[Subset, ...]:
+    """The subsets of 1..degree-1 by size, then lexicographically: the key
+    order of every coefficient map built here."""
+    return tuple(s for size in range(max(degree, 1))
+                 for s in combinations(range(1, degree), size))
+
+
 def _proper_layers(p: FinitePoset) -> tuple[int, list[list[int]]]:
     if p.bottom is None or p.top is None:
         raise PreconditionError("flag counting needs bottom and top")
@@ -135,34 +145,42 @@ def flag_f_vector(p: FinitePoset) -> dict[Subset, int]:
     n, layers = _proper_layers(p)
     leq = p.leq
     steps = {(a, b): leq[np.ix_(layers[a], layers[b])].astype(np.int64)
-             for a, b in combinations(range(1, n), 2)}
-    out: dict[Subset, int] = {(): 1}
-    # ends[s][v]: chains with rank set s ending at the v-th element of
-    # rank s[-1]; each extends the vector of s[:-1] by one step
-    ends: dict[Subset, np.ndarray] = {}
-    for size in range(1, n):
-        shorter, ends = ends, {}
-        for subset in combinations(range(1, n), size):
-            if size == 1:
-                vec = np.ones(len(layers[subset[0]]), dtype=np.int64)
-            else:
-                vec = shorter[subset[:-1]] @ steps[subset[-2:]]
-            ends[subset] = vec
-            out[subset] = int(vec.sum())
+             for a, b in combinations(range(n), 2)}
+    # Every chain with rank set S extends to a maximal chain of the proper
+    # part (the poset is graded), so alpha(S) <= alpha(1..n-1), and so is
+    # each entry of ends[S] below.  int64 is exact on counts below 2^63, and
+    # the float64 count of maximal chains proves that bound with room for
+    # its rounding.
+    maximal = np.ones(1)
+    for a in range(n - 1):
+        maximal = maximal @ steps[(a, a + 1)]
+    if maximal.sum() >= 2.0 ** 62:
+        raise SizeLimitError("flag counts would overflow int64")
+    # ends[s][v]: chains with rank set s ending at the v-th element of rank
+    # s[-1] (at the bottom for s = ()); each extends the vector of s[:-1] by
+    # one step.  s + (n-1,) is the last extension of s and has none of its
+    # own, so both are dropped there.
+    ends = {(): np.ones(1, dtype=np.int64)}
+    out: dict[Subset, int] = {}
+    for s in _rank_sets(n):
+        vec = ends[s[:-1]] @ steps[((0,) + s)[-2:]] if s else ends[s]
+        out[s] = int(vec.sum())
+        if s and s[-1] == n - 1:
+            del ends[s[:-1]]
+        else:
+            ends[s] = vec
     return out
 
 
 def _subset_sums(values: Mapping[Subset, int], degree: int, sign: int) -> dict[Subset, int]:
     """Sum of sign^|T - U| * values[U] over the subsets U of T, for every T.
 
-    T runs over the subsets of 1..degree-1 by size, then lexicographically,
-    the key order of flag_f_vector.  With subsets as bitmasks (i -> bit
+    T runs over _rank_sets(degree).  With subsets as bitmasks (i -> bit
     i-1), one pass per bit adds into each mask holding the bit the entry
     of the mask without it: (degree-1) 2^(degree-2) additions in place of
     3^(degree-1) terms.
     """
-    keys = [s for size in range(max(degree, 1))
-            for s in combinations(range(1, degree), size)]
+    keys = _rank_sets(degree)
     masks = [sum(1 << (i - 1) for i in s) for s in keys]
     sums = [0] * len(keys)
     for key, mask in zip(keys, masks):
@@ -201,12 +219,11 @@ def is_flag_symmetric(p: FinitePoset) -> bool:
     mono = fundamental_to_monomial(flag_qsym(p))
     n = mono.degree
     by_partition: dict[tuple[int, ...], int] = {}
-    for size in range(max(n, 1)):
-        for subset in combinations(range(1, n), size):
-            part = partition_of_composition(subset_to_composition(subset, n))
-            val = mono.coeff(subset)
-            if by_partition.setdefault(part, val) != val:
-                return False
+    for subset in _rank_sets(n):
+        part = partition_of_composition(subset_to_composition(subset, n))
+        val = mono.coeff(subset)
+        if by_partition.setdefault(part, val) != val:
+            return False
     return True
 
 
@@ -240,11 +257,8 @@ def h_gamma(gamma: Composition, degree: int) -> QuasiSymFunction:
     gamma = check_composition(gamma, degree)
     if degree > MAX_DEGREE:
         raise SizeLimitError(f"h expansion capped at degree {MAX_DEGREE}")
-    out: dict[Subset, int] = {}
-    for size in range(max(degree, 1)):
-        for subset in combinations(range(1, degree), size):
-            delta = subset_to_composition(subset, degree)
-            out[subset] = _matrix_count(gamma, delta)
+    out = {subset: _matrix_count(gamma, subset_to_composition(subset, degree))
+           for subset in _rank_sets(degree)}
     return QuasiSymFunction("M", degree, out)
 
 

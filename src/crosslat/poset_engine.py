@@ -3,7 +3,10 @@
 The order is stored as a dense boolean matrix leq[i, j] meaning element
 i is less-or-equal to element j.  Element identity is the row index; an
 optional labels tuple carries caller-side names such as bitmask node
-sets.  Every numeric invariant is computed exactly with integers.
+sets.  Every numeric invariant is computed exactly with integers:
+Mobius values (and so characteristic polynomial coefficients) are exact
+in int64, or refused with SizeLimitError when a row of them could leave
+it.
 """
 from __future__ import annotations
 
@@ -27,6 +30,13 @@ from .errors import (
 PartitionType = tuple[int, ...]
 
 ISO_SIZE_CAP = 5000
+
+# Hall's theorem writes mu(x, y) as an alternating count of the chains from
+# x to y, so a row of mu sums in absolute value to at most the number of
+# chains that start at x: one per subset of the other elements, at most
+# 2^(N-1).  Up to this size every entry of a row, and every sum of them,
+# lies within 2^62 and needs no overflow check.
+_HALL_EXACT_SIZE = 63
 
 # bytes of temporaries per block of rows in _least_bounds and _modular_by_rank
 _BOUNDS_BLOCK_BYTES = 1 << 18
@@ -408,6 +418,15 @@ class FinitePoset:
             b = block[above[block]]
             if len(b):
                 mu[b] = -(mu @ L[:, b])
+        # int64 arithmetic wraps silently, but a wrapped sum is still right
+        # whenever the true value fits.  So the first entry to go wrong is
+        # minus a sum of exact earlier entries whose true value is at least
+        # 2^63 in absolute value, and the row's L1 norm is at least 2^63.  A
+        # norm below 2^62 (float64 rounding is far inside the gap) proves
+        # every entry exact, and bounds every sum of entries
+        if (self.size > _HALL_EXACT_SIZE
+                and np.abs(mu.astype(np.float64)).sum() >= 2.0 ** 62):
+            raise SizeLimitError("Mobius values would overflow int64")
         mu.setflags(write=False)
         self._mobius_cache[x] = mu
         return mu
@@ -426,6 +445,7 @@ class FinitePoset:
         ranks = self.rank()
         rtop = ranks[self.top]
         mu = self.mobius_from(self.bottom)
+        # exact: each coefficient is bounded by the L1 norm of mu
         coeffs = np.zeros(rtop + 1, dtype=np.int64)
         np.add.at(coeffs, rtop - np.asarray(ranks), mu)
         return CharPolynomial(tuple(coeffs.tolist()))

@@ -64,16 +64,18 @@ class CriterionReport:
     note: str = ""
 
     def to_row(self) -> dict:
-        return {
-            "graph": self.graph,
-            "n": self.n,
-            "j0_mask": f"0x{self.j0_mask:x}",
-            "criterion": self.criterion,
-            "value": self.value,
-            "oracle": self.oracle,
-            "agree": self.agree,
-            "note": self.note,
-        }
+        return {**vars(self), "j0_mask": f"0x{self.j0_mask:x}"}
+
+
+def _row(lat: CrossSectionLattice, criterion: str, value: str, oracle: str,
+         agree: Optional[bool] = None, note: str = "") -> CriterionReport:
+    """A report on lat's configuration; agree defaults to value == oracle."""
+    return CriterionReport(lat.graph.kind, lat.graph.n, lat.j0, criterion, value, oracle,
+                           value == oracle if agree is None else agree, note)
+
+
+def _mismatches(count: int) -> str:
+    return f"{count} mismatches" if count else "ok"
 
 
 def family_graph(kind: str, n: int) -> CoxeterGraph:
@@ -260,16 +262,9 @@ def conjecture_chains_check(lat: CrossSectionLattice) -> CriterionReport:
     actual = poset.chain_product_factorization()
     same_type = actual == expected
     iso = posets_isomorphic(poset, chain_product_poset(sizes))
-    return CriterionReport(
-        graph=lat.graph.kind,
-        n=lat.graph.n,
-        j0_mask=lat.j0,
-        criterion="conjecture_chain_product",
-        value=str(expected),
-        oracle=str(actual) if actual is not None else "not-a-chain-product",
-        agree=same_type and iso,
-        note=SINGLE_FREE_NODE if flagged else "",
-    )
+    return _row(lat, "conjecture_chain_product", str(expected),
+                str(actual) if actual is not None else "not-a-chain-product",
+                agree=same_type and iso, note=SINGLE_FREE_NODE if flagged else "")
 
 
 # -- circuit variant ---------------------------------------------------------------
@@ -390,65 +385,52 @@ def theorem_equivalence_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crit
 
 def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None:
     poset = lat.to_poset()
-    g = lat.graph
+    elements = lat.elements
 
-    def report(criterion: str, value: str, oracle: str) -> None:
-        rows.append(CriterionReport(g.kind, g.n, lat.j0, criterion,
-                                    value, oracle, value == oracle))
-
-    leq = poset.leq
-    mismatch = 0
+    interval_bad = 0
     for xi in range(poset.size):
-        for yi in np.where(leq[xi, :])[0]:
+        for yi in np.where(poset.leq[xi, :])[0]:
             inter = poset.interval_poset(xi, int(yi))
-            crit = relcomp_criterion(lat, lat.elements[xi], lat.elements[int(yi)])
+            crit = relcomp_criterion(lat, elements[xi], elements[int(yi)])
             flags = {crit, inter.is_relatively_complemented(),
                      inter.is_atomic(), inter.is_boolean()}
             if len(flags) != 1:
-                mismatch += 1
-    report("interval_relcomp_atomic_boolean",
-           "ok" if not mismatch else f"{mismatch} mismatches", "ok")
+                interval_bad += 1
 
-    mismatch = 0
-    for xi in range(poset.size):
-        for yi in range(poset.size):
-            formula = mobius_formula(lat, lat.elements[xi], lat.elements[yi])
-            if formula != poset.mobius(xi, yi):
-                mismatch += 1
-    report("interval_mobius_formula",
-           "ok" if not mismatch else f"{mismatch} mismatches", "ok")
-
-    crit_ji = {u for u in lat.elements[1:] if join_irreducible_criterion(lat, u)}
-    brute_ji = {lat.elements[i] for i in poset.join_irreducibles()}
-    report("join_irreducible_set",
-           "ok" if crit_ji == brute_ji else "set mismatch", "ok")
-
-    # one pass over pairs checks the meet/join formulas and Birkhoff's
-    # covering condition: x covering x ^ y implies that x v y covers y
+    # one pass over pairs checks the Mobius formula, the meet/join formulas
+    # and Birkhoff's covering condition: x covering x ^ y implies that
+    # x v y covers y
     cov = poset.covers.tolist()
-    mismatch = 0
+    mobius_bad = table_bad = 0
     covering_ok = True
-    for i, u in enumerate(lat.elements):
-        for j, v in enumerate(lat.elements):
+    for i, u in enumerate(elements):
+        for j, v in enumerate(elements):
+            if mobius_formula(lat, u, v) != poset.mobius(i, j):
+                mobius_bad += 1
             m, jn = poset.meet(i, j), poset.join(i, j)
-            if lat.meet(u, v) != lat.elements[m]:
-                mismatch += 1
-            if lat.join(u, v) != lat.elements[jn]:
-                mismatch += 1
+            if lat.meet(u, v) != elements[m]:
+                table_bad += 1
+            if lat.join(u, v) != elements[jn]:
+                table_bad += 1
             if cov[m][i] and not cov[j][jn]:
                 covering_ok = False
-    report("meet_glb_formula",
-           "ok" if not mismatch else f"{mismatch} mismatches", "ok")
-    report("upper_semimodularity",
-           str(poset.is_upper_semimodular()), str(covering_ok))
 
-    report("distributivity_free_connected",
-           str(distributivity_criterion(lat)),
-           str(poset.is_distributive_lattice()))
-
-    brute, _ = poset.is_supersolvable_bruteforce()
-    report("supersolvable_end_or_singleton",
-           str(supersolvability_criterion(lat)), str(brute))
+    crit_ji = {u for u in elements[1:] if join_irreducible_criterion(lat, u)}
+    brute_ji = {elements[i] for i in poset.join_irreducibles()}
+    rows.extend([
+        _row(lat, "interval_relcomp_atomic_boolean", _mismatches(interval_bad), "ok"),
+        _row(lat, "interval_mobius_formula", _mismatches(mobius_bad), "ok"),
+        _row(lat, "join_irreducible_set",
+             "ok" if crit_ji == brute_ji else "set mismatch", "ok"),
+        _row(lat, "meet_glb_formula", _mismatches(table_bad), "ok"),
+        _row(lat, "upper_semimodularity",
+             str(poset.is_upper_semimodular()), str(covering_ok)),
+        _row(lat, "distributivity_free_connected",
+             str(distributivity_criterion(lat)), str(poset.is_distributive_lattice())),
+        _row(lat, "supersolvable_end_or_singleton",
+             str(supersolvability_criterion(lat)),
+             str(poset.is_supersolvable_bruteforce()[0])),
+    ])
 
 
 def supersolvable_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
@@ -456,11 +438,9 @@ def supersolvable_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionR
     rows = []
     for _, lats in _configs_by_n("supersolvable", kind, n_min, n_max):
         for lat in lats:
-            crit = supersolvability_criterion(lat)
             brute, _ = lat.to_poset().is_supersolvable_bruteforce()
-            rows.append(CriterionReport(lat.graph.kind, lat.graph.n, lat.j0,
-                                        "supersolvable_end_or_singleton",
-                                        str(crit), str(brute), crit == brute))
+            rows.append(_row(lat, "supersolvable_end_or_singleton",
+                             str(supersolvability_criterion(lat)), str(brute)))
     return rows
 
 
@@ -474,10 +454,8 @@ def conjecture_charpoly_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crit
     for _, lats in _configs_by_n("charpoly", kind, n_min, n_max):
         for lat in lats:
             direct = lat.to_poset().characteristic_polynomial()
-            formula = charpoly_formula(lat)
-            rows.append(CriterionReport(lat.graph.kind, lat.graph.n, lat.j0,
-                                        "charpoly_product_form",
-                                        str(formula), str(direct), formula == direct))
+            rows.append(_row(lat, "charpoly_product_form",
+                             str(charpoly_formula(lat)), str(direct)))
     return rows
 
 
@@ -506,33 +484,24 @@ def distributive_count_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crite
     rows = []
     for g, lats in _configs_by_n("distributive-count", kind, n_min, n_max):
         types = set()
-        product_posets = []
-        nonproduct_posets = []
+        # one representative poset per isomorphism class, the chain
+        # products apart from the rest
+        products: list = []
+        others: list = []
         for lat in lats:
             if not distributivity_criterion(lat):
                 continue
             poset = lat.to_poset()
             fact = poset.chain_product_factorization()
-            if fact is None:
-                nonproduct_posets.append(poset)
-            else:
-                product_posets.append(poset)
+            if fact is not None:
                 types.add(fact)
-
-        def iso_classes(posets) -> int:
-            reps = []
-            for p in posets:
-                if not any(posets_isomorphic(p, r) for r in reps):
-                    reps.append(p)
-            return len(reps)
-
-        brute_classes = iso_classes(product_posets)
-        extra = iso_classes(nonproduct_posets)
+            reps = others if fact is None else products
+            if not any(posets_isomorphic(poset, r) for r in reps):
+                reps.append(poset)
         rows.append(CriterionReport(
             g.kind, g.n, 0, "distributive_class_count",
-            str(len(types)), str(brute_classes),
-            len(types) == brute_classes,
-            note=f"partitions={partition_count(g.n)};nonproduct_classes={extra}"))
+            str(len(types)), str(len(products)), len(types) == len(products),
+            note=f"partitions={partition_count(g.n)};nonproduct_classes={len(others)}"))
     return rows
 
 
@@ -550,11 +519,8 @@ def inner_product_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionR
                 continue
             beta1 = flag_beta(poset).get((1,), 0)
             free_count = (lat.graph.full_mask & ~lat.j0).bit_count()
-            rows.append(CriterionReport(
-                lat.graph.kind, lat.graph.n, lat.j0,
-                "flag_beta1_vs_free_count",
-                str(beta1), str(free_count), beta1 == free_count,
-                note=f"beta1_plus_1={beta1 + 1};atoms={len(poset.atoms())}"))
+            rows.append(_row(lat, "flag_beta1_vs_free_count", str(beta1), str(free_count),
+                             note=f"beta1_plus_1={beta1 + 1};atoms={len(poset.atoms())}"))
     return rows
 
 
@@ -567,20 +533,16 @@ def circuit_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]
     lattice through the chain symmetric around that vertex).
     """
     rows = []
-    for g, lats in _configs_by_n("circuit", kind, n_min, n_max):
+    for _, lats in _configs_by_n("circuit", kind, n_min, n_max):
         for lat in lats:
             res = circuit_analysis(lat)
             if res.phi_applicable:
-                rows.append(CriterionReport(
-                    g.kind, g.n, lat.j0, "circuit_path_image",
-                    "equal" if res.phi_matches else "different", "equal",
-                    bool(res.phi_matches),
-                    note=f"path_j0=0x{res.path_j0_mask:x}"))
-            rows.append(CriterionReport(
-                g.kind, g.n, lat.j0, "circuit_supersolvable_singletons",
-                str(res.predicate_singletons), str(res.brute_supersolvable),
-                res.predicate_singletons == res.brute_supersolvable,
-                note="" if res.phi_applicable else NO_ADJACENT_FREE_PAIR))
+                rows.append(_row(lat, "circuit_path_image",
+                                 "equal" if res.phi_matches else "different", "equal",
+                                 note=f"path_j0=0x{res.path_j0_mask:x}"))
+            rows.append(_row(lat, "circuit_supersolvable_singletons",
+                             str(res.predicate_singletons), str(res.brute_supersolvable),
+                             note="" if res.phi_applicable else NO_ADJACENT_FREE_PAIR))
     return rows
 
 

@@ -102,6 +102,35 @@ def test_build_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "0\t0x0\t{}"
 
 
+BUILD_PATH2_JSON = """[
+  {
+    "rank": 0,
+    "mask": "0x0",
+    "members": "{}"
+  },
+  {
+    "rank": 1,
+    "mask": "0x2",
+    "members": "{2}"
+  },
+  {
+    "rank": 2,
+    "mask": "0x3",
+    "members": "{1,2}"
+  }
+]
+"""
+
+
+def test_build_json_out_file_golden(tmp_path, capsys):
+    target = tmp_path / "rows.json"
+    code = main(["build", "--graph", "path A 2", "--j0", "{1}",
+                 "--format", "json", "--out", str(target)])
+    assert code == EXIT_OK
+    assert target.read_text() == BUILD_PATH2_JSON
+    assert capsys.readouterr() == ("3 elements\n", "")
+
+
 def test_out_naming_a_directory_exits_2(tmp_path, capsys):
     code = main(["build", "--graph", "path A 3", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
@@ -248,6 +277,39 @@ def test_scan_csv_golden(capsys):
                         "partitions=3;nonproduct_classes=1")
     assert cap.err.strip() == (
         "rows=3 agree=3 disagree=0 flagged=0 degenerate-skipped=3")
+
+
+SCAN_SUPERSOLVABLE_CONFIGS = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3)]
+
+SCAN_SUPERSOLVABLE_JSON_ROW = """  {
+    "graph": "path_A",
+    "n": %d,
+    "j0_mask": "0x%x",
+    "criterion": "supersolvable_end_or_singleton",
+    "value": "True",
+    "oracle": "True",
+    "agree": true,
+    "note": ""
+  }"""
+
+
+def test_scan_text_golden(capsys):
+    code = main(["scan", "supersolvable", "--family", "path A", "--n-max", "2"])
+    assert code == EXIT_OK
+    assert capsys.readouterr() == ("".join(
+        f"path_A\t{n}\t0x{j0:x}\tsupersolvable_end_or_singleton\tTrue\tTrue\ttrue\t\n"
+        for n, j0 in SCAN_SUPERSOLVABLE_CONFIGS),
+        "rows=6 agree=6 disagree=0 flagged=0 degenerate-skipped=0\n")
+
+
+def test_scan_json_golden(capsys):
+    code = main(["scan", "supersolvable", "--family", "path A", "--n-max", "2",
+                 "--format", "json"])
+    assert code == EXIT_OK
+    rows = ",\n".join(SCAN_SUPERSOLVABLE_JSON_ROW % c for c in SCAN_SUPERSOLVABLE_CONFIGS)
+    assert capsys.readouterr() == (
+        f"[\n{rows}\n]\n",
+        "rows=6 agree=6 disagree=0 flagged=0 degenerate-skipped=0\n")
 
 
 def test_scan_requires_family_and_nmax(capsys):

@@ -36,6 +36,7 @@ from crosslat.errors import (
     GradednessError,
     MembershipError,
     PreconditionError,
+    SizeLimitError,
 )
 from crosslat.flags import MAX_DEGREE, flag_f_vector
 from crosslat.poset_engine import (
@@ -190,6 +191,35 @@ def test_mobius_zeta_convolution(p):
             total = sum(p.mobius(x, z) for z in range(p.size)
                         if p.leq[x, z] and p.leq[z, y])
             assert total == (1 if x == y else 0)
+
+
+def antichain_tower(width: int, levels: int = 15) -> FinitePoset:
+    """Ordinal sum of a bottom, `levels` antichains of `width` elements and a top."""
+    level = np.array([0] + [k for k in range(1, levels + 1) for _ in range(width)]
+                     + [levels + 1])
+    return FinitePoset((level[:, None] < level[None, :]) | np.eye(len(level), dtype=bool))
+
+
+def test_exact_counts_just_inside_int64():
+    # 242 elements of rank 16: mu climbs by a factor of 15 per level and the
+    # maximal chains number 16^15 = 2^60, within the bound the checks prove
+    p = antichain_tower(16)
+    assert p.size == 242 and p.rank_of_top() == MAX_DEGREE
+    assert p.mobius(p.bottom, p.top) == 15 ** 15 == 437893890380859375
+    assert flag_f_vector(p)[tuple(range(1, 16))] == 16 ** 15 == 2 ** 60
+    assert p.characteristic_polynomial().coeffs[1] == -16 * 15 ** 14
+
+
+def test_counts_past_int64_are_refused():
+    # at width 20, mu(bottom, top) = 19^15 and the maximal chains 20^15 both
+    # pass 2^63; int64 arithmetic would wrap them to wrong values
+    p = antichain_tower(20)
+    with pytest.raises(SizeLimitError):
+        p.mobius(p.bottom, p.top)
+    with pytest.raises(SizeLimitError):
+        p.characteristic_polynomial()
+    with pytest.raises(SizeLimitError):
+        flag_f_vector(p)
 
 
 def test_characteristic_polynomials_of_named_lattices():
