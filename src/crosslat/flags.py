@@ -148,14 +148,15 @@ def flag_f_vector(p: FinitePoset) -> dict[Subset, int]:
              for a, b in combinations(range(n), 2)}
     # Every chain with rank set S extends to a maximal chain of the proper
     # part (the poset is graded), so alpha(S) <= alpha(1..n-1), and so is
-    # each entry of ends[S] below.  int64 is exact on counts below 2^63, and
-    # the float64 count of maximal chains proves that bound with room for
-    # its rounding.
-    maximal = np.ones(1)
+    # each entry of ends[S] below.  int64 is exact on counts below 2^63.
+    # maximal[v] counts the chains from the bottom to v: a sum of distinct
+    # entries one rank down, so exact while their sum, taken in Python ints,
+    # is below 2^63.  The last such sum counts the maximal chains.
+    maximal = np.ones(1, dtype=np.int64)
     for a in range(n - 1):
         maximal = maximal @ steps[(a, a + 1)]
-    if maximal.sum() >= 2.0 ** 62:
-        raise SizeLimitError("flag counts would overflow int64")
+        if sum(maximal.tolist()) >= 2 ** 63:
+            raise SizeLimitError("flag counts would overflow int64")
     # ends[s][v]: chains with rank set s ending at the v-th element of rank
     # s[-1] (at the bottom for s = ()); each extends the vector of s[:-1] by
     # one step.  s + (n-1,) is the last extension of s and has none of its

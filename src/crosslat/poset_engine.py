@@ -31,13 +31,6 @@ PartitionType = tuple[int, ...]
 
 ISO_SIZE_CAP = 5000
 
-# Hall's theorem writes mu(x, y) as an alternating count of the chains from
-# x to y, so a row of mu sums in absolute value to at most the number of
-# chains that start at x: one per subset of the other elements, at most
-# 2^(N-1).  Up to this size every entry of a row, and every sum of them,
-# lies within 2^62 and needs no overflow check.
-_HALL_EXACT_SIZE = 63
-
 # bytes of temporaries per block of rows in _least_bounds and _modular_by_rank
 _BOUNDS_BLOCK_BYTES = 1 << 18
 
@@ -422,10 +415,9 @@ class FinitePoset:
         # whenever the true value fits.  So the first entry to go wrong is
         # minus a sum of exact earlier entries whose true value is at least
         # 2^63 in absolute value, and the row's L1 norm is at least 2^63.  A
-        # norm below 2^62 (float64 rounding is far inside the gap) proves
-        # every entry exact, and bounds every sum of entries
-        if (self.size > _HALL_EXACT_SIZE
-                and np.abs(mu.astype(np.float64)).sum() >= 2.0 ** 62):
+        # norm below 2^63, summed exactly in Python ints, proves every entry
+        # exact, and bounds every sum of entries
+        if sum(map(abs, mu.tolist())) >= 2 ** 63:
             raise SizeLimitError("Mobius values would overflow int64")
         mu.setflags(write=False)
         self._mobius_cache[x] = mu
