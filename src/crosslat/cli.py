@@ -171,20 +171,25 @@ def _emit(out_path: Optional[str], data: str, summary: str) -> None:
         sys.stderr.write(summary + "\n")
 
 
+def _check_table_format(command: str, fmt: str) -> None:
+    """Refuse a format that _table_text cannot write, as a usage error."""
+    if fmt not in ("json", "text", "csv"):
+        raise CrossLatError(f"{command} does not support format {fmt!r}")
+
+
 def _table_text(command: str, fmt: str, fields: Sequence[str], rows: list[dict]) -> str:
     """Rows as tab-separated text, csv with a header line, or indented json."""
+    _check_table_format(command, fmt)
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
     cells = ([_scalar_text(row[f]) for f in fields] for row in rows)
     if fmt == "text":
         return "".join("\t".join(line) + "\n" for line in cells)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(cells)
-        return buf.getvalue()
-    raise CrossLatError(f"{command} does not support format {fmt!r}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(cells)
+    return buf.getvalue()
 
 
 def _build_lattice(args: argparse.Namespace) -> CrossSectionLattice:
@@ -354,6 +359,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         chunks = rule.n_range(kind, args.n_max)
     except InvalidSizeError:
         raise CrossLatError(f"--n-max must be at least {rule.n_min}") from None
+    fmt = args.format or "text"
+    _check_table_format("scan", fmt)
     names, kinds = [args.scan_name] * len(chunks), [kind] * len(chunks)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
@@ -364,7 +371,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     dicts = [r.to_row() for r in rows]
     fields = [f.name for f in dataclasses.fields(CriterionReport)]
-    body = _table_text("scan", args.format or "text", fields, dicts)
+    body = _table_text("scan", fmt, fields, dicts)
 
     agree = sum(1 for d in dicts if d["agree"])
     flagged = sum(1 for d in dicts if d["note"] in HYPOTHESIS_NOTES)

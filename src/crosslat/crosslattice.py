@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .diagram import CoxeterGraph, connected_components, iter_nodes, node_bit
 from .errors import EmptyIntervalError, MembershipError, SizeLimitError
-from .poset_engine import FinitePoset
+from .poset_engine import FinitePoset, _row_blocks
 
 import numpy as np
 
@@ -22,11 +22,12 @@ import numpy as np
 MAX_ENUM_NODES = 24
 assert MAX_ENUM_NODES <= 32
 
-# The poset view holds dense N x N arrays.  The float32 product behind
-# FinitePoset.covers peaks at about 11 bytes per pair of elements, and an
-# analysis that holds both int32 lattice tables at about 14 (266 MB peak
-# RSS for path A 12 with nothing marked, 4,096 elements), so 12,000
-# elements keep an analysis near 2 GB.
+# The poset view holds dense N x N arrays.  The order and FinitePoset.covers
+# take about 2 bytes per pair of elements on a cross section lattice, whose
+# covers come from its ranks, and an analysis peaks at about 13 while it
+# holds both int32 lattice tables and builds a Mobius row (248 MB peak RSS
+# for path A 12 with nothing marked, 4,096 elements), so 12,000 elements
+# keep an analysis near 2 GB.
 MAX_POSET_ELEMENTS = 12_000
 
 
@@ -149,7 +150,10 @@ class CrossSectionLattice:
                 f"poset view capped at {MAX_POSET_ELEMENTS} elements, got {self.size}")
         # uint32 holds every mask exactly, see MAX_ENUM_NODES
         arr = np.asarray(self.elements, dtype=np.uint32)
-        leq = (arr[:, None] & ~arr[None, :]) == 0
+        leq = np.empty((self.size, self.size), dtype=bool)
+        # one uint32 and one bool temporary per pair of a block of rows
+        for rows in _row_blocks(self.size, 5):
+            leq[rows] = (arr[rows, None] & ~arr) == 0
         ranks = tuple(map(int.bit_count, self.elements))
         return FinitePoset(leq, labels=self.elements, validate=False, ranks=ranks)
 

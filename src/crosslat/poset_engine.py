@@ -31,7 +31,7 @@ PartitionType = tuple[int, ...]
 
 ISO_SIZE_CAP = 5000
 
-# bytes of temporaries per block of rows in _least_bounds and _modular_by_rank
+# bytes of temporaries per block of rows (or columns) of a blocked dense step
 _BOUNDS_BLOCK_BYTES = 1 << 18
 
 
@@ -39,6 +39,74 @@ def _row_blocks(n: int, pair_bytes: int) -> list[slice]:
     """Slices of 0..n-1 whose temporaries of pair_bytes per pair fit the budget."""
     step = max(1, _BOUNDS_BLOCK_BYTES // (pair_bytes * n))
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _heights(leq: np.ndarray) -> np.ndarray:
+    """Each element's height: the length of the longest chain up to it.
+
+    Elements with equally many elements below them are incomparable, and
+    everything below an element has fewer, so sorting by that count (as
+    linext does) gives antichains, each after every element below it.
+    Within an antichain, the longest chain ending at an element is one
+    longer than the longest ending below it.  The antichains are cut into
+    column blocks of leq that fit _BOUNDS_BLOCK_BYTES.
+    """
+    n = len(leq)
+    down = leq.sum(axis=0)
+    order = np.argsort(down, kind="stable")
+    # elements of a longest chain ending at each element, 0 until filled,
+    # so an element's own entry of leq adds nothing
+    chain = np.zeros(n, dtype=np.min_scalar_type(n))
+    step = max(1, _BOUNDS_BLOCK_BYTES // (chain.itemsize * n))
+    sizes = down[order]
+    cuts = np.flatnonzero((sizes[1:] != sizes[:-1]) | (np.arange(1, n) % step == 0)) + 1
+    for block in np.split(order, cuts):
+        chain[block] = (leq[:, block] * chain[:, None]).max(axis=0) + 1
+    return chain.astype(np.int32) - 1
+
+
+def _covers_of_grading(leq: np.ndarray, r: np.ndarray) -> Optional[np.ndarray]:
+    """The cover matrix of the order leq when r grades it, else None.
+
+    r grades the order when every cover raises it by one (Stanley, EC1
+    Sec. 3.1).  Call y a candidate of x when y > x and r(y) = r(x) + 1.
+    The candidates are exactly the covers when every y > x lies above some
+    candidate of x:
+      - a cover x < y then lies above a candidate c of x, and x < c <= y
+        forces c = y, so every cover raises r by one;
+      - so x < y implies r(x) < r(y), by a chain of covers from x to y,
+        and no element lies strictly between a candidate pair, whose ranks
+        differ by one: each candidate is a cover.
+    Conversely, when r grades the order, every y > x lies above the first
+    step of a chain of covers from x to y.  So the result is None exactly
+    when r is no grading, and a separate check that x < y implies
+    r(x) < r(y) would add nothing.  The candidates' up-sets lie inside the
+    strict up-set of x, so the condition holds when their union, an OR of
+    leq rows packed into 64-bit words by one reduceat per block of rows, is
+    as large.  A block's candidates lie in the columns whose rank is one
+    more than some row's, so only those columns are compared.
+    """
+    n = len(leq)
+    packed = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
+    packed[:, :(n + 7) // 8] = np.packbits(leq, axis=1)
+    packed = packed.view(np.uint64)
+    above = np.bitwise_count(packed).sum(axis=1, dtype=np.int64) - 1
+    out = np.zeros((n, n), dtype=bool)
+    # about 4 bytes of compares per pair of a block of rows
+    for rows in _row_blocks(n, 4):
+        rank = r[rows]
+        cols = np.flatnonzero((r > rank.min()) & (r <= rank.max() + 1))
+        src, dst = np.nonzero(leq[rows][:, cols] & (r[cols] == rank[:, None] + 1))
+        dst = cols[dst]
+        out[src + rows.start, dst] = True
+        reached = np.zeros(len(rank), dtype=np.int64)
+        if len(src):
+            starts = np.flatnonzero(np.diff(src, prepend=-1))
+            union = np.bitwise_or.reduceat(packed[dst], starts)
+            reached[src[starts]] = np.bitwise_count(union).sum(axis=1)
+        if (reached != above[rows]).any():
+            return None
+    return out
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,7 +293,7 @@ class FinitePoset:
         self._injected_ranks = tuple(map(int, ranks)) if ranks is not None else None
         self._mobius_cache: dict[int, np.ndarray] = {}
         # (source, idx): a lattice whose elements idx form this poset; its
-        # tables are restricted only when _tables or _meet is first read
+        # tables and covers are restricted only when first read
         self._restrict_from: Optional[tuple["FinitePoset", np.ndarray]] = None
         if validate:
             self._validate()
@@ -253,12 +321,46 @@ class FinitePoset:
 
     @cached_property
     def covers(self) -> np.ndarray:
-        """Boolean matrix, covers[i, j] true when j covers i."""
-        strict = self.leq & ~np.eye(self.size, dtype=bool)
-        via = _bool_matmul(strict, strict)
-        out = strict & ~via
+        """Boolean matrix, covers[i, j] true when j covers i.
+
+        The covers come from a candidate grading checked against leq by
+        _covers_of_grading: the injected ranks, or else each element's
+        height above the bottom.  An interval of a graded lattice takes
+        its parent's covers, restricted: an interval is convex, so its
+        covers are the parent's covers between its elements.  Only when
+        no candidate passes, on an ungraded poset or one without a bottom
+        or with wrong injected ranks, does a boolean matrix product find
+        the pairs x < y with nothing between them.  The grading that
+        passed, or None, is kept for _grading.
+        """
+        self._checked_grading, out = self._graded_covers()
+        if out is None:
+            strict = self.leq & ~np.eye(self.size, dtype=bool)
+            out = strict & ~_bool_matmul(strict, strict)
         out.setflags(write=False)
         return out
+
+    def _graded_covers(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """A checked grading and the covers it gives, or (None, None)."""
+        if self._restrict_from is not None:
+            source, idx = self._restrict_from
+            r = source._grading()
+            if r is not None:
+                r = r[idx]
+                return r - r.min(), source.covers[idx[:, None], idx]
+        if self._injected_ranks is not None:
+            r = np.asarray(self._injected_ranks, dtype=np.int32)
+        elif self.bottom is not None:
+            r = _heights(self.leq)
+        else:
+            return None, None
+        out = _covers_of_grading(self.leq, r)
+        return (None, None) if out is None else (r, out)
+
+    def _grading(self) -> Optional[np.ndarray]:
+        """The rank function that covers was checked against, or None."""
+        self.covers
+        return self._checked_grading
 
     @cached_property
     def _cover_lists(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -290,20 +392,10 @@ class FinitePoset:
             return self._injected_ranks
         if self.bottom is None:
             raise GradednessError("poset has no unique minimum")
-        cov = self.covers
-        rank = np.full(self.size, -1, dtype=np.int64)
-        rank[self.bottom] = 0
-        for v in self.linext:
-            if v == self.bottom:
-                continue
-            below = np.where(cov[:, v])[0]
-            if len(below) == 0:
-                raise GradednessError("second minimal element found")
-            rank[v] = rank[below[0]] + 1
-        src, dst = np.where(cov)
-        if not (rank[dst] == rank[src] + 1).all():
+        grading = self._grading()
+        if grading is None:
             raise GradednessError("cover relation is not rank-consistent")
-        return tuple(int(r) for r in rank)
+        return tuple(grading.tolist())
 
     def rank(self) -> tuple[int, ...]:
         """Rank of every element; raises GradednessError when not graded."""
@@ -465,17 +557,14 @@ class FinitePoset:
 
         A finite lattice is upper semimodular exactly when it is graded and
         r(x) + r(y) - r(x ^ y) - r(x v y) >= 0 for every pair (Stanley, EC1
-        Prop. 3.3.2); injected ranks count only if every cover raises them
-        by one.  The slack is computed in row blocks, and the rows where it
-        is 0 everywhere are the modular elements (modular_element_mask).
+        Prop. 3.3.2).  r is the grading that covers was checked against, so
+        injected ranks count only if every cover raises them by one.  The
+        slack is computed in row blocks, and the rows where it is 0
+        everywhere are the modular elements (modular_element_mask).
         """
         join, meet = self._lattice_tables()
-        try:
-            r = np.asarray(self.rank(), dtype=np.int32)
-        except GradednessError:
-            return None
-        src, dst = np.nonzero(self.covers)
-        if (r[dst] != r[src] + 1).any():
+        r = self._grading()
+        if r is None:
             return None
         out = np.empty(self.size, dtype=bool)
         # about 24 bytes of gathered indices and ranks per pair
@@ -651,8 +740,9 @@ class FinitePoset:
 
         An interval of a lattice is a lattice whose join and meet tables
         restrict from the parent's, so the parent's tables are handed down
-        and restricted only if the child reads them.  Injected ranks are
-        handed down too, shifted to start at 0.
+        and restricted only if the child reads them; so are its covers,
+        when the parent is graded (see covers).  Injected ranks are handed
+        down too, shifted to start at 0.
         """
         x = self._check_index(x)
         y = self._check_index(y)

@@ -25,6 +25,35 @@ def evaluate(poly: CharPolynomial, x: int) -> int:
     return out
 
 
+# -- ranks -------------------------------------------------------------------------
+
+
+def ranks_by_cover_loop(p: FinitePoset, cov: np.ndarray) -> tuple[int, ...]:
+    """What rank() returns, from the cover matrix cov by a loop over elements.
+
+    Injected ranks are returned as given.  Otherwise each element, in linext
+    order, takes one more than the rank of its first lower cover, and every
+    cover must then raise the rank by one.
+    """
+    if p._injected_ranks is not None:
+        return p._injected_ranks
+    if p.bottom is None:
+        raise GradednessError("poset has no unique minimum")
+    rank = np.full(p.size, -1, dtype=np.int64)
+    rank[p.bottom] = 0
+    for v in p.linext:
+        if v == p.bottom:
+            continue
+        below = np.where(cov[:, v])[0]
+        if len(below) == 0:
+            raise GradednessError("second minimal element found")
+        rank[v] = rank[below[0]] + 1
+    src, dst = np.where(cov)
+    if not (rank[dst] == rank[src] + 1).all():
+        raise GradednessError("cover relation is not rank-consistent")
+    return tuple(int(r) for r in rank)
+
+
 # -- derived posets and chains -------------------------------------------------------
 
 

@@ -438,6 +438,21 @@ def test_scan_range_checked_before_any_chunk(monkeypatch, capsys):
     assert calls == [] and FakeExecutor.created == []
 
 
+def test_scan_format_checked_before_any_chunk(monkeypatch, capsys):
+    def refuse(kind, n_max, n_min=1):
+        raise AssertionError("scan ran")
+
+    monkeypatch.setitem(cli.SCAN_FUNCTIONS, "charpoly", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(FakeExecutor, "created", [])
+    for jobs in ("1", "2"):
+        code = main(["scan", "charpoly", "--family", "path A", "--n-max", "10",
+                     "--format", "dot", "--jobs", jobs])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: scan does not support format 'dot'\n"
+    assert FakeExecutor.created == []
+
+
 def test_scan_workers_capped_at_chunk_count(monkeypatch, capsys):
     calls = []
 

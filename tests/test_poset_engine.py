@@ -27,8 +27,10 @@ from reference_routes import (
     is_self_dual,
     maximal_chains,
     rank_counts,
+    ranks_by_cover_loop,
 )
 
+from crosslat import poset_engine
 from crosslat.crosslattice import CrossSectionLattice
 from crosslat.diagram import build_custom_graph, parse_nodeset
 from crosslat.errors import (
@@ -833,10 +835,32 @@ def assert_references_agree(p: FinitePoset, name) -> tuple:
     return join, meet, ok
 
 
+def assert_covers_and_ranks_match(p: FinitePoset, name) -> None:
+    """covers, rank() and the checked grading against the product and the loop."""
+    cov = covers_by_int_matmul(p)
+    assert (p.covers == cov).all(), name
+    try:
+        ranks = ranks_by_cover_loop(p, cov)
+    except GradednessError:
+        ranks = None
+        with pytest.raises(GradednessError):
+            p.rank()
+    else:
+        assert p.rank() == ranks, name
+    # the ranks grade the poset when every cover raises them by one
+    src, dst = np.nonzero(cov)
+    r = np.asarray(ranks)
+    graded = ranks is not None and (r[dst] == r[src] + 1).all()
+    grading = p._grading()
+    assert (grading is not None) == graded, name
+    if graded:
+        assert tuple(grading.tolist()) == ranks, name
+
+
 def assert_routes_match_references(p: FinitePoset, name: str) -> None:
     join, meet, ok = assert_references_agree(p, name)
     assert_tables_match(p, join, meet, ok, name)
-    assert (p.covers == covers_by_int_matmul(p)).all(), name
+    assert_covers_and_ranks_match(p, name)
     if p.bottom is None or p.top is None:
         return
     try:
@@ -857,6 +881,52 @@ def test_tables_covers_and_flags_match_references():
 def test_tables_covers_and_flags_match_references_on_random_posets(p):
     assert_routes_match_references(p, "draw")
     assert_routes_match_references(macneille_completion(p), "completion")
+
+
+def test_interval_covers_restrict_the_parents(monkeypatch):
+    # an interval of a graded lattice neither checks a grading nor
+    # multiplies: it restricts its parent's covers
+    def refuse(*args):
+        raise AssertionError("interval covers recomputed")
+
+    roots = list(family_lattices())
+    for _, p in roots:
+        assert p.is_lattice()
+    monkeypatch.setattr(poset_engine, "_covers_of_grading", refuse)
+    monkeypatch.setattr(poset_engine, "_bool_matmul", refuse)
+    for key, p in roots:
+        for x in range(p.size):
+            for y in np.flatnonzero(p.leq[x]).tolist():
+                assert_covers_and_ranks_match(p.interval_poset(x, y), (key, x, y))
+
+
+def test_graded_posets_take_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("product ran")
+
+    cycle = CrossSectionLattice(family_graph("cycle", 6), parse_nodeset("{1}")).to_poset()
+    graded = [cycle, boolean_lattice(4), chain_product_poset((3, 2)), chain_poset(5)]
+    expected = [covers_by_int_matmul(p) for p in graded]
+    n5 = pentagon()
+    monkeypatch.setattr(poset_engine, "_bool_matmul", refuse)
+    for p, cov in zip(graded, expected):
+        assert (p.covers == cov).all()
+    # the pentagon has no grading, so only the product finds its covers
+    with pytest.raises(AssertionError, match="product ran"):
+        n5.covers
+
+
+def test_covers_refuse_injected_ranks_that_are_no_grading():
+    n5, chain3 = pentagon(), chain_poset(3)
+    for name, leq, ranks in (
+            ("pentagon", n5.leq, (0, 1, 2, 2, 3)),
+            ("skips a rank", chain3.leq, (0, 2, 3)),
+            ("decreasing", chain3.leq, (2, 1, 0)),
+            ("equal along a relation", chain3.leq, (0, 1, 1)),
+            ("B2, one side decreasing", boolean_lattice(2).leq, (0, 1, -1, 2))):
+        p = FinitePoset(leq, validate=False, ranks=ranks)
+        assert_covers_and_ranks_match(p, name)
+        assert p._grading() is None and p.rank() == ranks, name
 
 
 def test_tables_refuse_non_lattices():
