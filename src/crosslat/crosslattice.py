@@ -155,7 +155,7 @@ class CrossSectionLattice:
         for rows in _row_blocks(self.size, 5):
             leq[rows] = (arr[rows, None] & ~arr) == 0
         ranks = tuple(map(int.bit_count, self.elements))
-        return FinitePoset(leq, labels=self.elements, validate=False, ranks=ranks)
+        return FinitePoset._adopt(leq, labels=self.elements, ranks=ranks)
 
     def to_poset(self) -> FinitePoset:
         """Index-based poset view; labels carry the element masks.

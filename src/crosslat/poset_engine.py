@@ -277,11 +277,30 @@ class FinitePoset:
 
     def __init__(self, leq, labels: Optional[Sequence[int]] = None,
                  validate: bool = True, ranks: Optional[Sequence[int]] = None):
+        # a copy: the caller may still write to its array
         mat = np.array(leq, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidSizeError("leq must be a square matrix")
         if mat.shape[0] == 0:
             raise InvalidSizeError("empty poset not supported")
+        self._own(mat, labels, ranks)
+        if validate:
+            self._validate()
+
+    @classmethod
+    def _adopt(cls, leq: np.ndarray, labels: Optional[Sequence[int]] = None,
+               ranks: Optional[Sequence[int]] = None) -> "FinitePoset":
+        """A poset over leq itself, unchecked and uncopied.
+
+        leq must be a freshly built nonempty square bool array that no one
+        else writes to; it is marked read-only here.
+        """
+        poset = cls.__new__(cls)
+        poset._own(leq, labels, ranks)
+        return poset
+
+    def _own(self, mat: np.ndarray, labels: Optional[Sequence[int]],
+             ranks: Optional[Sequence[int]]) -> None:
         self.size = int(mat.shape[0])
         mat.setflags(write=False)
         self.leq = mat
@@ -295,8 +314,6 @@ class FinitePoset:
         # (source, idx): a lattice whose elements idx form this poset; its
         # tables and covers are restricted only when first read
         self._restrict_from: Optional[tuple["FinitePoset", np.ndarray]] = None
-        if validate:
-            self._validate()
 
     # -- construction helpers -------------------------------------------
 
@@ -667,7 +684,11 @@ class FinitePoset:
         return bool(cov[self.bottom, cov.sum(axis=0) == 1].all())
 
     def is_boolean(self) -> bool:
-        """Isomorphism test against the subset lattice of the same rank."""
+        """Isomorphism test against the subset lattice of the same rank.
+
+        A poset too large for the isomorphism test is refused before the
+        subset lattice is built.
+        """
         if not self.is_lattice():
             return False
         try:
@@ -676,6 +697,7 @@ class FinitePoset:
             return False
         if self.size != 1 << rtop:
             return False
+        _check_iso_size(self)
         return posets_isomorphic(self, _shared_boolean_lattice(rtop))
 
     # -- factorization --------------------------------------------------------
@@ -742,22 +764,26 @@ class FinitePoset:
         restrict from the parent's, so the parent's tables are handed down
         and restricted only if the child reads them; so are its covers,
         when the parent is graded (see covers).  Injected ranks are handed
-        down too, shifted to start at 0.
+        down too, shifted to start at 0, and so are the bottom and top: the
+        positions of x and y among the interval's elements, which need not
+        be first and last, since the parent's index order need not extend
+        its order.
         """
         x = self._check_index(x)
         y = self._check_index(y)
         if not self.leq[x, y]:
             raise EmptyIntervalError(f"{x} is not below {y}")
-        idx = np.flatnonzero(self.leq[x] & self.leq[:, y])
+        idx = (self.leq[x] & self.leq[:, y]).nonzero()[0]
+        members = idx.tolist()
         labels = None
         if self.labels is not None:
-            labels = tuple(self.labels[i] for i in idx.tolist())
+            labels = tuple(self.labels[i] for i in members)
         ranks = None
         if self._injected_ranks is not None:
             base = self._injected_ranks[x]
-            ranks = tuple(self._injected_ranks[i] - base for i in idx.tolist())
-        child = FinitePoset(self.leq[np.ix_(idx, idx)], labels=labels,
-                            validate=False, ranks=ranks)
+            ranks = tuple(self._injected_ranks[i] - base for i in members)
+        child = FinitePoset._adopt(self.leq[idx[:, None], idx], labels=labels, ranks=ranks)
+        child.bottom, child.top = idx.searchsorted((x, y)).tolist()
         if self.is_lattice():
             child._restrict_from = (self, idx)
         return child
@@ -841,17 +867,34 @@ def _refine_colors(up: list[list[int]], down: list[list[int]],
     return out
 
 
+def _check_iso_size(*posets: FinitePoset) -> None:
+    if any(p.size > ISO_SIZE_CAP for p in posets):
+        raise SizeLimitError(f"isomorphism test capped at {ISO_SIZE_CAP} elements")
+
+
 def posets_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
-    """Exact isomorphism test via cover-graph backtracking.
+    """Exact isomorphism test.
+
+    Equal order matrices certify isomorphism by the identity map; that
+    decides every Boolean interval of a cross section lattice, whose
+    elements come in the (popcount, mask) order of boolean_lattice.  Any
+    other pair goes through _isomorphic_by_search.
+    """
+    _check_iso_size(p, q)
+    if p.size != q.size:
+        return False
+    if np.array_equal(p.leq, q.leq):
+        return True
+    return _isomorphic_by_search(p, q)
+
+
+def _isomorphic_by_search(p: FinitePoset, q: FinitePoset) -> bool:
+    """Exact isomorphism test of two equal-sized posets via cover-graph backtracking.
 
     Color refinement on the Hasse diagram prunes the search; the
     backtracking maps elements in a linear extension order so each
     element's lower covers are matched before the element itself.
     """
-    if p.size > ISO_SIZE_CAP or q.size > ISO_SIZE_CAP:
-        raise SizeLimitError(f"isomorphism test capped at {ISO_SIZE_CAP} elements")
-    if p.size != q.size:
-        return False
     n = p.size
 
     up_p, down_p = p._cover_lists

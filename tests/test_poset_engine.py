@@ -46,6 +46,7 @@ from crosslat.poset_engine import (
     _KeyIndex,
     _first_key_bits,
     FinitePoset,
+    _isomorphic_by_search,
     boolean_lattice,
     chain_poset,
     chain_product_poset,
@@ -95,6 +96,15 @@ def test_validation_rejects_broken_relations():
     not_transitive[0, 1] = not_transitive[1, 2] = True
     with pytest.raises(PreconditionError):
         FinitePoset(not_transitive)
+
+
+def test_public_constructor_copies_its_array():
+    # the caller keeps its array and may write to it afterwards
+    leq = chain_poset(3).leq.copy()
+    p = FinitePoset(leq)
+    leq[0, 2] = False
+    assert p.leq[0, 2] and not p.leq.flags.writeable
+    assert p.rank() == (0, 1, 2)
 
 
 def test_cyclic_cover_input_rejected():
@@ -1100,6 +1110,57 @@ def test_interval_tables_restrict_lazily():
                 assert_tables_fresh(inner, (key, x, y, "inner"))
 
 
+def relabeled(p: FinitePoset, order) -> FinitePoset:
+    """p with element order[i] renamed i; labels keep the old indices."""
+    order = np.asarray(order)
+    labels = order.tolist() if p.labels is None else [p.labels[i] for i in order]
+    ranks = None if p._injected_ranks is None else [p._injected_ranks[i] for i in order]
+    return FinitePoset(p.leq[np.ix_(order, order)], labels=labels, ranks=ranks)
+
+
+def assert_intervals_match_public_constructor(parent: FinitePoset, name) -> None:
+    for x in range(parent.size):
+        for y in np.flatnonzero(parent.leq[x]).tolist():
+            sub = parent.interval_poset(x, y)
+            idx = np.flatnonzero(parent.leq[x] & parent.leq[:, y])
+            labels = None if parent.labels is None else [parent.labels[i] for i in idx]
+            ref = FinitePoset(parent.leq[np.ix_(idx, idx)], labels=labels)
+            key = (name, x, y)
+            assert not sub.leq.flags.writeable, key
+            assert (sub.leq == ref.leq).all(), key
+            assert (sub.bottom, sub.top, sub.labels) == (ref.bottom, ref.top, ref.labels), key
+            try:
+                expected = ref.rank()
+            except GradednessError:
+                with pytest.raises(GradednessError):
+                    sub.rank()
+            else:
+                assert sub.rank() == expected, key
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_interval_handoff_matches_public_constructor(data):
+    # relabeled parents list their elements in an order that need not
+    # extend the partial order, so an interval's bottom and top need not
+    # come first and last
+    p = data.draw(random_posets())
+    completion = macneille_completion(p)
+    order = data.draw(st.permutations(range(completion.size)))
+    for name, parent in (("draw", p), ("completion", completion),
+                         ("relabeled", relabeled(completion, order))):
+        assert_intervals_match_public_constructor(parent, name)
+
+
+def test_interval_handoff_on_relabeled_cross_section_lattices():
+    rng = random.Random(15)
+    for key, p in family_lattices(n_max=4):
+        order = list(range(p.size))
+        rng.shuffle(order)
+        for name, parent in ((key, p), ((key, "relabeled"), relabeled(p, order))):
+            assert_intervals_match_public_constructor(parent, name)
+
+
 # -- structure predicates ---------------------------------------------------------
 
 
@@ -1124,6 +1185,59 @@ def test_is_boolean_rejects_near_misses():
 def test_is_boolean_compares_size_before_rank():
     # rank 31 is too high for a Boolean lattice, but 32 elements decide it
     assert not chain_poset(32).is_boolean()
+
+
+def test_is_boolean_refuses_above_the_cap_before_building(monkeypatch):
+    def refuse(rank):
+        raise AssertionError("reference lattice built")
+
+    p = boolean_lattice(3)
+    monkeypatch.setattr(poset_engine, "ISO_SIZE_CAP", 4)
+    monkeypatch.setattr(poset_engine, "_shared_boolean_lattice", refuse)
+    with pytest.raises(SizeLimitError, match="isomorphism test capped at 4 elements"):
+        p.is_boolean()
+
+
+def every_interval(kinds, n_max):
+    """Every interval of the family lattices, repeated order matrices too."""
+    for key, p in family_lattices(kinds=kinds, n_max=n_max):
+        for x in range(p.size):
+            for y in np.flatnonzero(p.leq[x]).tolist():
+                yield (key, x, y), p.interval_poset(x, y)
+
+
+def test_boolean_intervals_are_certified_without_search(monkeypatch):
+    # a Boolean interval of a cross section lattice lists its elements in
+    # boolean_lattice's order, so equal order matrices decide it
+    families = ((("path_A", "path_B", "path_C"), 4), (("cycle",), 5))
+    boolean = [key for kinds, n_max in families
+               for key, sub in every_interval(kinds, n_max)
+               if sub.size == 1 << sub.rank_of_top()
+               and _isomorphic_by_search(sub, boolean_lattice(sub.rank_of_top()))]
+    assert len(boolean) > 1000
+
+    def refuse(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(poset_engine, "_refine_colors", refuse)
+    found = [key for kinds, n_max in families
+             for key, sub in every_interval(kinds, n_max) if sub.is_boolean()]
+    assert found == boolean
+
+
+def test_is_boolean_searches_when_the_order_differs(monkeypatch):
+    refined = []
+
+    def counted(*args):
+        refined.append(1)
+        return real(*args)
+
+    real = poset_engine._refine_colors
+    monkeypatch.setattr(poset_engine, "_refine_colors", counted)
+    b3 = boolean_lattice(3)
+    shuffled = relabeled(b3, [3, 6, 0, 5, 1, 7, 2, 4])
+    assert not np.array_equal(shuffled.leq, b3.leq)
+    assert shuffled.is_boolean() and refined
 
 
 def test_join_irreducibles_of_products():
@@ -1248,10 +1362,15 @@ def test_isomorphism_matches_networkx(data):
     p = data.draw(random_posets())
     q = data.draw(random_posets(size=p.size))
     inv = np.argsort(data.draw(st.permutations(range(p.size))))
-    relabeled = FinitePoset(p.leq[np.ix_(inv, inv)])
-    for a, b in ((p, q), (p, relabeled), (q, relabeled)):
+    shuffled = FinitePoset(p.leq[np.ix_(inv, inv)])
+    # equal order matrices take the identity certificate, which the
+    # search must confirm
+    pairs = ((p, q), (p, shuffled), (q, shuffled),
+             (p, FinitePoset(p.leq.copy())), (q, FinitePoset(q.leq.copy())))
+    for a, b in pairs:
         expected = nx.is_isomorphic(hasse_digraph(nx, a), hasse_digraph(nx, b))
         assert posets_isomorphic(a, b) == expected
+        assert _isomorphic_by_search(a, b) == expected
 
 
 # -- characteristic polynomial arithmetic -----------------------------------------
