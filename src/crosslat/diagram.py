@@ -45,7 +45,12 @@ def format_nodeset(mask: int) -> str:
 
 
 def parse_nodeset(text: str) -> int:
-    """Parse a node set literal such as ``{1,2,5}`` or ``{}``."""
+    """Parse a node set literal such as ``{1,2,5}`` or ``{}``.
+
+    Labels are ASCII digit strings naming nodes 1..MAX_NODES; any other
+    label is refused before it is converted, so no label can ask for a
+    huge int.
+    """
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
         raise InvalidSizeError(f"node set literal must be brace-delimited: {text!r}")
@@ -55,9 +60,13 @@ def parse_nodeset(text: str) -> int:
     mask = 0
     for part in body.split(","):
         part = part.strip()
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise InvalidSizeError(f"bad node label {part!r} in {text!r}")
-        label = int(part)
+        digits = part.lstrip("0") or "0"
+        # the length test comes first, so int() never sees a long label
+        if len(digits) > len(str(MAX_NODES)) or int(digits) > MAX_NODES:
+            raise InvalidSizeError(f"node labels run up to {MAX_NODES}")
+        label = int(digits)
         if label < 1:
             raise InvalidSizeError(f"node labels start at 1, got {label}")
         mask |= node_bit(label)

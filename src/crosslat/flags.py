@@ -58,16 +58,6 @@ def subset_to_composition(s: Subset, degree: int) -> Composition:
     return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def composition_to_subset(gamma: Composition, degree: int) -> Subset:
-    gamma = check_composition(gamma, degree)
-    out = []
-    run = 0
-    for part in gamma[:-1]:
-        run += part
-        out.append(run)
-    return tuple(out)
-
-
 def partition_of_composition(gamma: Composition) -> tuple[int, ...]:
     return tuple(sorted(gamma, reverse=True))
 
@@ -110,13 +100,6 @@ class QuasiSymFunction:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in self.terms())
         return f"QuasiSymFunction({self.basis!r}, {self.degree}, {{{inner}}})"
-
-    def to_json_obj(self) -> dict:
-        rows = sorted(
-            [list(subset_to_composition(s, self.degree)), v]
-            for s, v in self._coeffs.items()
-        )
-        return {"degree": self.degree, "basis": self.basis, "terms": rows}
 
 
 @cache

@@ -273,19 +273,24 @@ class CharPolynomial:
 
 
 class FinitePoset:
-    """A finite poset over indices 0..size-1 given by a boolean leq matrix."""
+    """A finite poset over indices 0..size-1 given by a boolean leq matrix.
 
-    def __init__(self, leq, labels: Optional[Sequence[int]] = None,
-                 validate: bool = True, ranks: Optional[Sequence[int]] = None):
+    FinitePoset(leq, labels) copies leq and checks that it is a partial
+    order, so rank() of such a poset is always the grading that covers
+    checked.  The canonical posets, cross section lattices and intervals
+    are built by _adopt, the one route that may hand in ranks.
+    """
+
+    def __init__(self, leq, labels: Optional[Sequence[int]] = None):
         # a copy: the caller may still write to its array
         mat = np.array(leq, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidSizeError("leq must be a square matrix")
         if mat.shape[0] == 0:
             raise InvalidSizeError("empty poset not supported")
-        self._own(mat, labels, ranks)
-        if validate:
-            self._validate()
+        # one construction path: take over the state _adopt gives the copy
+        vars(self).update(vars(FinitePoset._adopt(mat, labels)))
+        self._validate()
 
     @classmethod
     def _adopt(cls, leq: np.ndarray, labels: Optional[Sequence[int]] = None,
@@ -293,27 +298,27 @@ class FinitePoset:
         """A poset over leq itself, unchecked and uncopied.
 
         leq must be a freshly built nonempty square bool array that no one
-        else writes to; it is marked read-only here.
+        else writes to and that is a partial order; it is marked read-only
+        here.  Ranks, when given, must grade leq: rank(), the Mobius blocks
+        and the flag counts read them as given.  covers still checks them
+        as a grading, which keeps the oracle independent of what the graph
+        side knows, and falls back to the cover product when they fail.
         """
         poset = cls.__new__(cls)
-        poset._own(leq, labels, ranks)
-        return poset
-
-    def _own(self, mat: np.ndarray, labels: Optional[Sequence[int]],
-             ranks: Optional[Sequence[int]]) -> None:
-        self.size = int(mat.shape[0])
-        mat.setflags(write=False)
-        self.leq = mat
+        poset.size = int(leq.shape[0])
+        leq.setflags(write=False)
+        poset.leq = leq
         if labels is not None:
             labels = tuple(labels)
-            if len(labels) != self.size:
+            if len(labels) != poset.size:
                 raise InvalidSizeError("labels length must match size")
-        self.labels = labels
-        self._injected_ranks = tuple(map(int, ranks)) if ranks is not None else None
-        self._mobius_cache: dict[int, np.ndarray] = {}
+        poset.labels = labels
+        poset._injected_ranks = tuple(map(int, ranks)) if ranks is not None else None
+        poset._mobius_cache: dict[int, np.ndarray] = {}
         # (source, idx): a lattice whose elements idx form this poset; its
         # tables and covers are restricted only when first read
-        self._restrict_from: Optional[tuple["FinitePoset", np.ndarray]] = None
+        poset._restrict_from: Optional[tuple["FinitePoset", np.ndarray]] = None
+        return poset
 
     # -- construction helpers -------------------------------------------
 
@@ -796,12 +801,12 @@ def boolean_lattice(k: int) -> FinitePoset:
     """Subset lattice of a k-element set, elements ordered by (popcount, mask)."""
     if k < 0:
         raise InvalidSizeError("rank must be nonnegative")
-    if k > 20:
-        raise SizeLimitError("boolean lattice above rank 20 refused")
+    if 1 << k > ISO_SIZE_CAP:
+        raise SizeLimitError(f"boolean lattice above {ISO_SIZE_CAP} elements refused")
     masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
     arr = np.asarray(masks, dtype=np.int64)
     leq = (arr[:, None] & ~arr[None, :]) == 0
-    return FinitePoset(leq, labels=masks, validate=False)
+    return FinitePoset._adopt(leq, labels=masks)
 
 
 # one shared instance per rank, so its covers and order are built once
@@ -813,7 +818,7 @@ def chain_poset(m: int) -> FinitePoset:
     if m < 1:
         raise InvalidSizeError("chain needs at least one element")
     idx = np.arange(m)
-    return FinitePoset(idx[:, None] <= idx[None, :], validate=False)
+    return FinitePoset._adopt(idx[:, None] <= idx[None, :])
 
 
 def chain_product_poset(sizes: Sequence[int]) -> FinitePoset:
@@ -832,20 +837,7 @@ def chain_product_poset(sizes: Sequence[int]) -> FinitePoset:
     coords.sort(key=lambda c: (sum(c), c))
     arr = np.asarray(coords, dtype=np.int64).reshape(total, len(sizes))
     leq = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    return FinitePoset(leq, validate=False)
-
-
-def poset_from_cover_relations(n: int, covers: Iterable[tuple[int, int]]) -> FinitePoset:
-    """Reflexive-transitive closure of the given cover pairs on 0..n-1."""
-    rel = np.eye(n, dtype=bool)
-    for a, b in covers:
-        rel[a, b] = True
-    while True:
-        grown = rel | _bool_matmul(rel, rel)
-        if (grown == rel).all():
-            break
-        rel = grown
-    return FinitePoset(rel, validate=True)
+    return FinitePoset._adopt(leq)
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -12,7 +12,6 @@ from crosslat.poset_engine import (
     CharPolynomial,
     FinitePoset,
     boolean_lattice,
-    poset_from_cover_relations,
     posets_isomorphic,
 )
 
@@ -57,9 +56,21 @@ def ranks_by_cover_loop(p: FinitePoset, cov: np.ndarray) -> tuple[int, ...]:
 # -- derived posets and chains -------------------------------------------------------
 
 
+def poset_from_cover_relations(n: int, covers) -> FinitePoset:
+    """Reflexive-transitive closure of the given cover pairs on 0..n-1."""
+    rel = np.eye(n, dtype=bool)
+    for a, b in covers:
+        rel[a, b] = True
+    while True:
+        grown = rel | (rel.astype(np.int64) @ rel > 0)
+        if (grown == rel).all():
+            return FinitePoset(rel)
+        rel = grown
+
+
 def dual(p: FinitePoset) -> FinitePoset:
     """The same elements with the order reversed."""
-    return FinitePoset(p.leq.T.copy(), labels=p.labels, validate=False)
+    return FinitePoset(p.leq.T, labels=p.labels)
 
 
 def maximal_chains(p: FinitePoset) -> list[tuple[int, ...]]:

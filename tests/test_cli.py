@@ -181,6 +181,12 @@ def test_build_rejects_out_of_range_node(capsys):
     assert main(["build", "--graph", "path A 3", "--j0", "{7}"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("j0", ["{\u00b2}", "{%s}" % ("9" * 5000), "{65}", "{200000000}"])
+def test_j0_labels_that_are_no_node_exit_2(j0, capsys):
+    assert main(["analyze", "--graph", "path A 3", "--j0", j0]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- analyze ------------------------------------------------------------------
 
 ANALYZE_PATH3_LINES = [

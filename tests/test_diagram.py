@@ -44,6 +44,21 @@ def test_parse_nodeset_rejects_garbage():
         parse_nodeset("{a}")
 
 
+@pytest.mark.parametrize("label", ["\u00b2", "\u0663", "65", "200000000", "9" * 5000, "1" + "0" * 20])
+def test_parse_nodeset_refuses_labels_outside_1_to_max_nodes(label):
+    # refused before int() or the shift, which would build an int of the
+    # label's size in bits
+    with pytest.raises(InvalidSizeError):
+        parse_nodeset("{%s}" % label)
+
+
+def test_parse_nodeset_reads_leading_zeros():
+    assert parse_nodeset("{007,64}") == nodes_to_mask([7, 64])
+    assert parse_nodeset("{%s1}" % ("0" * 5000)) == nodes_to_mask([1])
+    with pytest.raises(InvalidSizeError, match="start at 1"):
+        parse_nodeset("{00}")
+
+
 def test_path_diagram_shape():
     g = build_path_diagram("A", 4)
     assert g.n == 4

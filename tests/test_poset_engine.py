@@ -26,6 +26,7 @@ from reference_routes import (
     is_right_modular,
     is_self_dual,
     maximal_chains,
+    poset_from_cover_relations,
     rank_counts,
     ranks_by_cover_loop,
 )
@@ -51,7 +52,6 @@ from crosslat.poset_engine import (
     chain_poset,
     chain_product_poset,
     posets_isomorphic,
-    poset_from_cover_relations,
 )
 from crosslat.theorem_suite import family_graph
 
@@ -105,6 +105,46 @@ def test_public_constructor_copies_its_array():
     leq[0, 2] = False
     assert p.leq[0, 2] and not p.leq.flags.writeable
     assert p.rank() == (0, 1, 2)
+
+
+def test_public_constructor_takes_no_ranks_or_validate_flag():
+    # ranks reach a poset only through _adopt, so a public poset's rank()
+    # is always the grading that covers checked
+    leq = chain_poset(3).leq
+    with pytest.raises(TypeError):
+        FinitePoset(leq, ranks=(2, 1, 0))
+    with pytest.raises(TypeError):
+        FinitePoset(leq, validate=False)
+
+
+def test_canonical_builders_match_the_public_constructor():
+    built = ([boolean_lattice(k) for k in range(7)]
+             + [chain_poset(m) for m in range(1, 7)]
+             + [chain_product_poset(sizes) for sizes in
+                ((1,), (2, 3), (3, 2, 2), (4, 4), (2, 2, 2, 2), (5, 1, 3))])
+    for p in built:
+        ref = FinitePoset(p.leq, labels=p.labels)
+        key = (p.size, p.rank_of_top())
+        assert not p.leq.flags.writeable, key
+        assert (p.leq == ref.leq).all() and p.labels == ref.labels, key
+        assert (p.bottom, p.top) == (ref.bottom, ref.top), key
+        assert p.rank() == ref.rank(), key
+    # the public constructor keeps the labels it is given, so check them here
+    for k in range(7):
+        p = boolean_lattice(k)
+        assert p.labels == tuple(sorted(range(1 << k), key=lambda m: (m.bit_count(), m)))
+        assert all(p.leq[i, j] == ((a | b) == b)
+                   for i, a in enumerate(p.labels) for j, b in enumerate(p.labels))
+
+
+def test_boolean_lattice_refuses_above_the_iso_cap(monkeypatch):
+    for k in (13, 16, 20, 21):
+        with pytest.raises(SizeLimitError):
+            boolean_lattice(k)
+    monkeypatch.setattr(poset_engine, "ISO_SIZE_CAP", 8)
+    assert boolean_lattice(3).size == 8
+    with pytest.raises(SizeLimitError):
+        boolean_lattice(4)
 
 
 def test_cyclic_cover_input_rejected():
@@ -553,7 +593,7 @@ def test_rank_pass_checks_injected_ranks_against_covers():
     # with these ranks no slack of the pentagon is negative, but the cover
     # 0 < 3 raises them by two, so they are no grading
     n5 = pentagon()
-    bogus = FinitePoset(n5.leq, validate=False, ranks=(0, 1, 2, 2, 3))
+    bogus = FinitePoset._adopt(n5.leq.copy(), ranks=(0, 1, 2, 2, 3))
     r = np.asarray(bogus.rank())
     join, meet = bogus._lattice_tables()
     assert (r[:, None] + r >= r[join] + r[meet]).all()
@@ -562,7 +602,7 @@ def test_rank_pass_checks_injected_ranks_against_covers():
 
 def test_modular_mask_refuses_lattices_that_are_not_upper_semimodular():
     n5 = pentagon()
-    injected = FinitePoset(n5.leq, validate=False, ranks=(0, 1, 2, 2, 3))
+    injected = FinitePoset._adopt(n5.leq.copy(), ranks=(0, 1, 2, 2, 3))
     for p in (n5, injected, dual(partition_lattice(4))):
         assert p.is_lattice()
         with pytest.raises(PreconditionError):
@@ -934,7 +974,7 @@ def test_covers_refuse_injected_ranks_that_are_no_grading():
             ("decreasing", chain3.leq, (2, 1, 0)),
             ("equal along a relation", chain3.leq, (0, 1, 1)),
             ("B2, one side decreasing", boolean_lattice(2).leq, (0, 1, -1, 2))):
-        p = FinitePoset(leq, validate=False, ranks=ranks)
+        p = FinitePoset._adopt(leq.copy(), ranks=ranks)
         assert_covers_and_ranks_match(p, name)
         assert p._grading() is None and p.rank() == ranks, name
 
@@ -1115,7 +1155,7 @@ def relabeled(p: FinitePoset, order) -> FinitePoset:
     order = np.asarray(order)
     labels = order.tolist() if p.labels is None else [p.labels[i] for i in order]
     ranks = None if p._injected_ranks is None else [p._injected_ranks[i] for i in order]
-    return FinitePoset(p.leq[np.ix_(order, order)], labels=labels, ranks=ranks)
+    return FinitePoset._adopt(p.leq[np.ix_(order, order)], labels=labels, ranks=ranks)
 
 
 def assert_intervals_match_public_constructor(parent: FinitePoset, name) -> None:

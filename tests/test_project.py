@@ -1,4 +1,4 @@
-"""Project-level checks: the oracle's import boundary and the README example."""
+"""Project-level checks: the oracle's import boundary, unreached code and the README example."""
 
 import ast
 from pathlib import Path
@@ -46,6 +46,35 @@ def test_package_imports_nothing_from_the_tests():
     for path in sorted(PACKAGE.glob("*.py")):
         for module in imported_modules(path):
             assert not module_parts(module) & test_modules, (path.name, module)
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Each name the code under node reads, as a bare name or an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_public_function_is_exported_or_used():
+    # src/ holds only what the CLI, the scans and the exported library
+    # reach; a function that only the tests call belongs in the tests
+    defined = []
+    reads: list[tuple[str, set[str]]] = []  # (function or "", names read)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, ast.FunctionDef):
+                if not stmt.name.startswith("_"):
+                    defined.append(stmt.name)
+                reads.append((stmt.name, names_read(stmt)))
+            else:
+                reads.append(("", names_read(stmt)))
+    unreached = [name for name in defined if name not in crosslat.__all__
+                 and not any(name in names for owner, names in reads if owner != name)]
+    assert unreached == []
 
 
 def library_example() -> str:
