@@ -13,12 +13,10 @@ from typing import Iterator
 
 from .diagram import CoxeterGraph, connected_components, iter_nodes, node_bit
 from .errors import EmptyIntervalError, MembershipError, SizeLimitError
-from .poset_engine import FinitePoset, _row_blocks
-
-import numpy as np
+from .poset_engine import FinitePoset, _subset_order
 
 # Full enumeration is exponential in the node count; refuse past this.
-# The order matrix is built from uint32 masks, so it must stay <= 32.
+# _subset_order builds the order from uint32 masks, so it must stay <= 32.
 MAX_ENUM_NODES = 24
 assert MAX_ENUM_NODES <= 32
 
@@ -148,14 +146,8 @@ class CrossSectionLattice:
         if self.size > MAX_POSET_ELEMENTS:
             raise SizeLimitError(
                 f"poset view capped at {MAX_POSET_ELEMENTS} elements, got {self.size}")
-        # uint32 holds every mask exactly, see MAX_ENUM_NODES
-        arr = np.asarray(self.elements, dtype=np.uint32)
-        leq = np.empty((self.size, self.size), dtype=bool)
-        # one uint32 and one bool temporary per pair of a block of rows
-        for rows in _row_blocks(self.size, 5):
-            leq[rows] = (arr[rows, None] & ~arr) == 0
-        ranks = tuple(map(int.bit_count, self.elements))
-        return FinitePoset._adopt(leq, labels=self.elements, ranks=ranks)
+        return FinitePoset._adopt(_subset_order(self.elements), labels=self.elements,
+                                  ranks=tuple(map(int.bit_count, self.elements)))
 
     def to_poset(self) -> FinitePoset:
         """Index-based poset view; labels carry the element masks.

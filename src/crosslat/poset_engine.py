@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import comb
+from math import comb, prod
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -278,7 +278,7 @@ class FinitePoset:
     FinitePoset(leq, labels) copies leq and checks that it is a partial
     order, so rank() of such a poset is always the grading that covers
     checked.  The canonical posets, cross section lattices and intervals
-    are built by _adopt, the one route that may hand in ranks.
+    are built by _adopt, and only a cross section lattice hands ranks in.
     """
 
     def __init__(self, leq, labels: Optional[Sequence[int]] = None):
@@ -300,9 +300,11 @@ class FinitePoset:
         leq must be a freshly built nonempty square bool array that no one
         else writes to and that is a partial order; it is marked read-only
         here.  Ranks, when given, must grade leq: rank(), the Mobius blocks
-        and the flag counts read them as given.  covers still checks them
-        as a grading, which keeps the oracle independent of what the graph
-        side knows, and falls back to the cover product when they fail.
+        and the flag counts read them as given.  Only cross section lattices
+        pass them.  covers still checks them as a grading, which keeps the
+        oracle independent of what the graph side knows, and falls back to
+        the cover product when they fail; intervals read only the grading
+        that passed.
         """
         poset = cls.__new__(cls)
         poset.size = int(leq.shape[0])
@@ -691,19 +693,19 @@ class FinitePoset:
     def is_boolean(self) -> bool:
         """Isomorphism test against the subset lattice of the same rank.
 
-        A poset too large for the isomorphism test is refused before the
-        subset lattice is built.
+        A size that is no power of two returns False; any other poset above
+        ISO_SIZE_CAP, lattice or not, raises SizeLimitError before a table,
+        the covers or the subset lattice is built.
         """
-        if not self.is_lattice():
-            return False
-        try:
-            rtop = self.rank_of_top()
-        except (GradednessError, PreconditionError):
-            return False
+        rtop = self.size.bit_length() - 1
         if self.size != 1 << rtop:
             return False
         _check_iso_size(self)
-        return posets_isomorphic(self, _shared_boolean_lattice(rtop))
+        try:
+            candidate = self.is_lattice() and self.rank_of_top() == rtop
+        except (GradednessError, PreconditionError):
+            return False
+        return candidate and posets_isomorphic(self, _shared_boolean_lattice(rtop))
 
     # -- factorization --------------------------------------------------------
 
@@ -767,27 +769,22 @@ class FinitePoset:
 
         An interval of a lattice is a lattice whose join and meet tables
         restrict from the parent's, so the parent's tables are handed down
-        and restricted only if the child reads them; so are its covers,
-        when the parent is graded (see covers).  Injected ranks are handed
-        down too, shifted to start at 0, and so are the bottom and top: the
-        positions of x and y among the interval's elements, which need not
-        be first and last, since the parent's index order need not extend
-        its order.
+        and restricted only if the child reads them; so are its covers and
+        its grading, when the parent's grading passed the check in covers.
+        The child takes no injected ranks, so its rank() is always a
+        checked grading.  Its bottom and top are the positions of x and y
+        among its elements, which need not be first and last, since the
+        parent's index order need not extend its order.
         """
         x = self._check_index(x)
         y = self._check_index(y)
         if not self.leq[x, y]:
             raise EmptyIntervalError(f"{x} is not below {y}")
         idx = (self.leq[x] & self.leq[:, y]).nonzero()[0]
-        members = idx.tolist()
         labels = None
         if self.labels is not None:
-            labels = tuple(self.labels[i] for i in members)
-        ranks = None
-        if self._injected_ranks is not None:
-            base = self._injected_ranks[x]
-            ranks = tuple(self._injected_ranks[i] - base for i in members)
-        child = FinitePoset._adopt(self.leq[idx[:, None], idx], labels=labels, ranks=ranks)
+            labels = tuple(self.labels[i] for i in idx.tolist())
+        child = FinitePoset._adopt(self.leq[idx[:, None], idx], labels=labels)
         child.bottom, child.top = idx.searchsorted((x, y)).tolist()
         if self.is_lattice():
             child._restrict_from = (self, idx)
@@ -797,16 +794,24 @@ class FinitePoset:
 # -- canonical posets ------------------------------------------------------------
 
 
+def _subset_order(masks: Sequence[int]) -> np.ndarray:
+    """The inclusion order of bitmasks below 2**32, built in row blocks."""
+    arr = np.asarray(masks, dtype=np.uint32)
+    leq = np.empty((len(arr), len(arr)), dtype=bool)
+    # one uint32 and one bool temporary per pair of a block of rows
+    for rows in _row_blocks(len(arr), 5):
+        leq[rows] = (arr[rows, None] & ~arr) == 0
+    return leq
+
+
 def boolean_lattice(k: int) -> FinitePoset:
     """Subset lattice of a k-element set, elements ordered by (popcount, mask)."""
     if k < 0:
         raise InvalidSizeError("rank must be nonnegative")
     if 1 << k > ISO_SIZE_CAP:
         raise SizeLimitError(f"boolean lattice above {ISO_SIZE_CAP} elements refused")
-    masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
-    arr = np.asarray(masks, dtype=np.int64)
-    leq = (arr[:, None] & ~arr[None, :]) == 0
-    return FinitePoset._adopt(leq, labels=masks)
+    masks = sorted(range(1 << k), key=lambda m: (m.bit_count(), m))
+    return FinitePoset._adopt(_subset_order(masks), labels=masks)
 
 
 # one shared instance per rank, so its covers and order are built once
@@ -815,28 +820,29 @@ _shared_boolean_lattice = cache(boolean_lattice)
 
 def chain_poset(m: int) -> FinitePoset:
     """Total order with m elements."""
-    if m < 1:
-        raise InvalidSizeError("chain needs at least one element")
-    idx = np.arange(m)
-    return FinitePoset._adopt(idx[:, None] <= idx[None, :])
+    return chain_product_poset((m,))
 
 
 def chain_product_poset(sizes: Sequence[int]) -> FinitePoset:
-    """Componentwise order on a product of chains with the given sizes."""
+    """Componentwise order on a product of chains with the given sizes.
+
+    Elements come by coordinate sum, then lexicographically; the order is
+    built one coordinate at a time, in row blocks.
+    """
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
         raise InvalidSizeError("chain sizes must be positive")
-    total = 1
-    for s in sizes:
-        total *= s
+    total = prod(sizes)
     if total > ISO_SIZE_CAP:
         raise SizeLimitError("chain product too large")
-    coords = [()]
-    for s in sizes:
-        coords = [c + (v,) for c in coords for v in range(s)]
-    coords.sort(key=lambda c: (sum(c), c))
-    arr = np.asarray(coords, dtype=np.int64).reshape(total, len(sizes))
-    leq = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+    coords = np.indices(sizes).reshape(len(sizes), total)
+    coords = coords[:, np.argsort(coords.sum(axis=0), kind="stable")]
+    leq = np.ones((total, total), dtype=bool)
+    # one bool temporary per pair of a block of rows
+    for rows in _row_blocks(total, 1):
+        block = leq[rows]
+        for c in coords:
+            block &= c[rows, None] <= c
     return FinitePoset._adopt(leq)
 
 

@@ -1,7 +1,8 @@
 """Reference routes that the engine does not need, kept for the tests.
 
-Each helper answers by the definition or by a plain search, and takes the
-poset (or polynomial, or cross section lattice) as its first argument.  The
+Each helper answers by the definition, by a plain search or by the dense
+build the engine used before, and takes the poset (or polynomial, or cross
+section lattice, or what a poset builder takes) as its first argument.  The
 engine in crosslat.poset_engine answers the same questions, where it needs
 them, through one faster route; the tests compare it against these.
 """
@@ -11,6 +12,7 @@ from crosslat.errors import GradednessError, PreconditionError
 from crosslat.poset_engine import (
     CharPolynomial,
     FinitePoset,
+    _row_blocks,
     boolean_lattice,
     posets_isomorphic,
 )
@@ -51,6 +53,36 @@ def ranks_by_cover_loop(p: FinitePoset, cov: np.ndarray) -> tuple[int, ...]:
     if not (rank[dst] == rank[src] + 1).all():
         raise GradednessError("cover relation is not rank-consistent")
     return tuple(int(r) for r in rank)
+
+
+# -- order builders ----------------------------------------------------------------
+
+
+def boolean_lattice_by_outer_product(k: int) -> FinitePoset:
+    """boolean_lattice(k), its order from one N x N int64 temporary."""
+    masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
+    arr = np.asarray(masks, dtype=np.int64)
+    return FinitePoset._adopt((arr[:, None] & ~arr[None, :]) == 0, labels=masks)
+
+
+def chain_product_by_broadcast(sizes) -> FinitePoset:
+    """chain_product_poset(sizes), its order from one N x N x k temporary."""
+    coords = [()]
+    for s in sizes:
+        coords = [c + (v,) for c in coords for v in range(s)]
+    coords.sort(key=lambda c: (sum(c), c))
+    arr = np.asarray(coords, dtype=np.int64).reshape(len(coords), len(sizes))
+    return FinitePoset._adopt((arr[:, None, :] <= arr[None, :, :]).all(axis=2))
+
+
+def cross_section_poset_by_block_loop(lat) -> FinitePoset:
+    """lat.to_poset(), its order from uint32 masks by a block loop of its own."""
+    arr = np.asarray(lat.elements, dtype=np.uint32)
+    leq = np.empty((lat.size, lat.size), dtype=bool)
+    for rows in _row_blocks(lat.size, 5):
+        leq[rows] = (arr[rows, None] & ~arr) == 0
+    ranks = tuple(map(int.bit_count, lat.elements))
+    return FinitePoset._adopt(leq, labels=lat.elements, ranks=ranks)
 
 
 # -- derived posets and chains -------------------------------------------------------

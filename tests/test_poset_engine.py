@@ -6,6 +6,7 @@ fence) or from identities every poset must satisfy.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,7 +14,10 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from reference_routes import (
+    boolean_lattice_by_outer_product,
+    chain_product_by_broadcast,
     classify_rank3_interval,
+    cross_section_poset_by_block_loop,
     dual,
     evaluate,
     fence6_poset,
@@ -135,6 +139,60 @@ def test_canonical_builders_match_the_public_constructor():
         assert p.labels == tuple(sorted(range(1 << k), key=lambda m: (m.bit_count(), m)))
         assert all(p.leq[i, j] == ((a | b) == b)
                    for i, a in enumerate(p.labels) for j, b in enumerate(p.labels))
+
+
+def assert_same_poset(p: FinitePoset, ref: FinitePoset, key) -> None:
+    assert not p.leq.flags.writeable, key
+    assert (p.leq == ref.leq).all() and p.labels == ref.labels, key
+    assert (p.bottom, p.top) == (ref.bottom, ref.top), key
+    assert p.rank() == ref.rank(), key
+
+
+def test_order_builders_match_the_routes_they_replaced(monkeypatch):
+    # the default budget cuts B8, the large products and path A 12 into
+    # blocks of rows; the small one cuts the chains too, the last block short
+    for budget in (poset_engine._BOUNDS_BLOCK_BYTES, 1 << 8):
+        monkeypatch.setattr(poset_engine, "_BOUNDS_BLOCK_BYTES", budget)
+        for k in range(9):
+            assert_same_poset(boolean_lattice(k), boolean_lattice_by_outer_product(k),
+                              (budget, k))
+        for m in [*range(1, 71), 129]:
+            assert_same_poset(chain_poset(m), chain_product_by_broadcast((m,)), (budget, m))
+        for sizes in ((3, 2), (2, 4)):
+            assert_same_poset(chain_product_poset(sizes), chain_product_by_broadcast(sizes),
+                              (budget, sizes))
+        for kind in ("path_A", "cycle"):
+            for n in range(3 if kind == "cycle" else 1, 7):
+                g = family_graph(kind, n)
+                for j0 in range(g.full_mask + 1):
+                    lat = CrossSectionLattice(g, j0)
+                    assert_same_poset(lat.to_poset(), cross_section_poset_by_block_loop(lat),
+                                      (budget, kind, n, j0))
+    for sizes in ((7, 8, 9, 8), (2,) * 12):
+        assert_same_poset(chain_product_poset(sizes), chain_product_by_broadcast(sizes), sizes)
+    lat = CrossSectionLattice(family_graph("path_A", 12), 0)
+    assert_same_poset(lat.to_poset(), cross_section_poset_by_block_loop(lat), "path A 12 {}")
+
+
+def peak_traced_bytes(build) -> int:
+    """tracemalloc's peak while build() runs, its result included."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_orders_allocate_little_beyond_their_result():
+    # each leq has 4,096 x 4,096 bool entries, 16 MiB
+    budget = 1.25 * 4096 ** 2
+    for name, build in (
+            ("B12", lambda: boolean_lattice(12)),
+            ("(2,) * 12", lambda: chain_product_poset((2,) * 12)),
+            ("path A 12 {}",
+             lambda: CrossSectionLattice(family_graph("path_A", 12), 0).to_poset())):
+        assert peak_traced_bytes(build) <= budget, name
 
 
 def test_boolean_lattice_refuses_above_the_iso_cap(monkeypatch):
@@ -1201,6 +1259,16 @@ def test_interval_handoff_on_relabeled_cross_section_lattices():
             assert_intervals_match_public_constructor(parent, name)
 
 
+def test_intervals_read_a_checked_grading_not_injected_ranks():
+    # rank() of the adopted parent returns its bogus ranks as given, but
+    # each interval reads the grading that covers checked
+    for name, leq, ranks in (("B2", boolean_lattice(2).leq, (0, 1, -1, 2)),
+                             ("3-chain", chain_poset(3).leq, (0, 2, 3))):
+        parent = FinitePoset._adopt(leq.copy(), ranks=ranks)
+        assert parent.is_lattice() and parent.rank() == ranks, name
+        assert_intervals_match_public_constructor(parent, name)
+
+
 # -- structure predicates ---------------------------------------------------------
 
 
@@ -1231,10 +1299,26 @@ def test_is_boolean_refuses_above_the_cap_before_building(monkeypatch):
     def refuse(rank):
         raise AssertionError("reference lattice built")
 
-    p = boolean_lattice(3)
+    p, c2x4, n5 = boolean_lattice(3), chain_product_poset((2, 4)), pentagon()
     monkeypatch.setattr(poset_engine, "ISO_SIZE_CAP", 4)
     monkeypatch.setattr(poset_engine, "_shared_boolean_lattice", refuse)
-    with pytest.raises(SizeLimitError, match="isomorphism test capped at 4 elements"):
+    # a size that is no power of two decides before the cap
+    assert not n5.is_boolean()
+    # above the cap, a power-of-two size refuses, Boolean or not
+    for q in (p, c2x4):
+        with pytest.raises(SizeLimitError, match="isomorphism test capped at 4 elements"):
+            q.is_boolean()
+
+
+def test_is_boolean_refuses_before_tables_or_covers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("table or covers built")
+
+    # 8,192 elements, above ISO_SIZE_CAP
+    p = CrossSectionLattice(family_graph("path_A", 13), 0).to_poset()
+    monkeypatch.setattr(poset_engine, "_least_bounds", refuse)
+    monkeypatch.setattr(poset_engine, "_covers_of_grading", refuse)
+    with pytest.raises(SizeLimitError, match="isomorphism test capped"):
         p.is_boolean()
 
 

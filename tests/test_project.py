@@ -77,6 +77,20 @@ def test_every_public_function_is_exported_or_used():
     assert unreached == []
 
 
+def test_only_cross_section_lattices_hand_in_ranks():
+    # rank() reads the ranks _adopt is given unchecked, so only the
+    # popcounts of a cross section lattice may reach it that way
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_adopt"
+                    and (len(node.args) > 2
+                         or any(kw.arg in ("ranks", None) for kw in node.keywords))):
+                callers.append(path.name)
+    assert callers == ["crosslattice.py"]
+
+
 def library_example() -> str:
     """The fenced python block of the README's Library section."""
     text = README.read_text()
