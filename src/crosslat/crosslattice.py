@@ -84,7 +84,10 @@ class CrossSectionLattice:
         self.graph = graph
         self.j0 = int(j0_mask)
         self.elements: tuple[int, ...] = tuple(enumerate_lattice(graph, j0_mask))
-        self._index = {m: i for i, m in enumerate(self.elements)}
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.elements)}
 
     @property
     def size(self) -> int:

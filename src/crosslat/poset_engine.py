@@ -10,6 +10,7 @@ it.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb, prod
@@ -299,7 +300,7 @@ class FinitePoset:
 
         leq must be a freshly built nonempty square bool array that no one
         else writes to and that is a partial order; it is marked read-only
-        here.  Ranks, when given, must grade leq: rank(), the Mobius blocks
+        here.  Ranks, when given, must grade leq: rank(), the Mobius levels
         and the flag counts read them as given.  Only cross section lattices
         pass them.  covers still checks them as a grading, which keeps the
         oracle independent of what the graph side knows, and falls back to
@@ -493,40 +494,51 @@ class FinitePoset:
     # -- Mobius function and characteristic polynomial --------------------
 
     @cached_property
-    def _antichain_blocks(self) -> list[np.ndarray]:
-        """Antichains covering the poset, each after every block below it.
+    def _levels(self) -> tuple[Optional[np.ndarray], np.ndarray, list[int]]:
+        """The order with its indices sorted into levels, for mobius_from.
 
-        A graded poset gives its rank levels; any other poset gives one
-        element per block in linear-extension order.
+        A graded poset's levels are its ranks, and any other poset's are
+        its heights; either way each level is an antichain and everything
+        below an element lies in an earlier level.  Returns the stable
+        permutation that sorts the indices by level (None when they are
+        sorted already, as on a cross section lattice and its intervals),
+        leq in that order, and the end of each level.
         """
         try:
-            ranks = np.asarray(self.rank())
+            level = np.asarray(self.rank())
         except GradednessError:
-            return [np.array([v]) for v in self.linext]
-        order = np.argsort(ranks, kind="stable")
-        ends = np.bincount(ranks).cumsum().tolist()
-        return [order[a:b] for a, b in zip([0] + ends, ends)]
+            level = _heights(self.leq)
+        ends = np.bincount(level).cumsum().tolist()
+        if (level[1:] >= level[:-1]).all():
+            return None, self.leq, ends
+        order = np.argsort(level, kind="stable")
+        return order, self.leq[order[:, None], order], ends
 
     def mobius_from(self, x: int) -> np.ndarray:
         """Vector of Mobius values mu(x, v) for every v.
 
-        Rota's recursion, one antichain block at a time.
+        Rota's recursion, one level of _levels at a time.
         """
         x = self._check_index(x)
         cached = self._mobius_cache.get(x)
         if cached is not None:
             return cached
-        L = self.leq
-        above = L[x].copy()
-        above[x] = False
+        order, L, ends = self._levels
+        px = x if order is None else int(np.flatnonzero(order == x)[0])
         mu = np.zeros(self.size, dtype=np.int64)
-        mu[x] = 1
-        # mu(x, b) = -sum of mu(x, u) over x <= u < b; every such u lies in
-        # an earlier block, and b's own block adds nothing but mu(x, b) = 0
-        for block in self._antichain_blocks:
-            b = block[above[block]]
-            if len(b):
-                mu[b] = -(mu @ L[:, b])
+        mu[px] = 1
+        # mu(x, b) = -sum of mu(x, u) over x <= u < b.  Every such u lies in
+        # an earlier level and at or after x, so the rows px:lo of the
+        # levels before b's hold them all, and the other rows there hold 0.
+        # No u lies between x and a b not above x, so b gets 0 with no mask,
+        # and x's own level stays 0 but for x.
+        level = bisect_right(ends, px)
+        lo = ends[level]
+        for e in ends[level + 1:]:
+            mu[lo:e] = -(mu[px:lo] @ L[px:lo, lo:e])
+            lo = e
+        if order is not None:
+            mu[order] = mu.copy()
         # int64 arithmetic wraps silently, but a wrapped sum is still right
         # whenever the true value fits.  So the first entry to go wrong is
         # minus a sum of exact earlier entries whose true value is at least

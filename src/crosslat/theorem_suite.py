@@ -291,46 +291,52 @@ def circuit_analysis(lat: CrossSectionLattice) -> CircuitAnalysis:
     g = lat.graph
     if not is_standard_cycle(g):
         raise UnsupportedGraphError("circuit analysis needs a cycle graph")
-    n = g.n
-    j0 = lat.j0
-    comps = connected_components(g, j0)
-    predicate = all(c.bit_count() == 1 for c in comps)
     brute, wit = lat.to_poset().is_supersolvable_bruteforce()
     witness = tuple(lat.elements[i] for i in wit) if wit is not None else None
-
-    free = g.full_mask & ~j0
-    cut = None
-    for c in range(1, n + 1):
-        nxt = c % n + 1
-        if free & node_bit(c) and free & node_bit(nxt):
-            cut = c
-            break
-    path_j0 = None
-    phi_matches = None
-    if cut is not None:
-        positions = {((cut - 1 + p) % n) + 1: p for p in range(1, n + 1)}
-
-        def relabel(mask: int) -> int:
-            out = 0
-            for a in iter_nodes(mask):
-                out |= node_bit(positions[a])
-            return out
-
-        path_j0 = relabel(j0)
-        path_lat = CrossSectionLattice(build_path_diagram("A", n), path_j0)
-        phi_matches = {relabel(u) for u in lat.elements} == set(path_lat.elements)
+    path_j0, phi_matches = _path_image(lat)
     return CircuitAnalysis(
-        n=n,
-        j0_mask=j0,
+        n=g.n,
+        j0_mask=lat.j0,
         size=lat.size,
         degenerate=lat.is_degenerate(),
-        predicate_singletons=predicate,
+        predicate_singletons=_singleton_components(lat),
         brute_supersolvable=brute,
         witness=witness,
-        phi_applicable=cut is not None,
+        phi_applicable=path_j0 is not None,
         path_j0_mask=path_j0,
         phi_matches=phi_matches,
     )
+
+
+def _singleton_components(lat: CrossSectionLattice) -> bool:
+    return all(c.bit_count() == 1 for c in connected_components(lat.graph, lat.j0))
+
+
+def _path_image(lat: CrossSectionLattice) -> tuple[Optional[int], Optional[bool]]:
+    """Cut a cycle configuration between its first two adjacent free nodes.
+
+    Returns the j0 of the path A configuration that the cut relabels it to
+    and whether the relabeled elements are that configuration's, or
+    (None, None) when no two adjacent nodes are free.
+    """
+    n = lat.graph.n
+    full = lat.graph.full_mask
+    free = full & ~lat.j0
+    for cut in range(1, n + 1):
+        if free & node_bit(cut) and free & node_bit(cut % n + 1):
+            break
+    else:
+        return None, None
+
+    def relabel(masks):
+        # node cut + 1 becomes node 1 and node cut becomes node n: every
+        # node set turns cut places right
+        return ((masks >> cut) | (masks << (n - cut))) & full
+
+    path_j0 = relabel(lat.j0)
+    path_lat = CrossSectionLattice(build_path_diagram("A", n), path_j0)
+    image = np.sort(relabel(np.array(lat.elements)))
+    return path_j0, np.array_equal(image, np.sort(path_lat.elements))
 
 
 # -- scans -------------------------------------------------------------------------
@@ -364,21 +370,69 @@ class ScanRule:
         return range(n_min, n_max + 1)
 
 
+def _automorphisms(kind: str, n: int) -> list[tuple[int, ...]]:
+    """Node relabelings that map the family's n-node graph onto itself.
+
+    They form a group, perm[i] is the image of node i + 1, less one, and
+    the identity comes first.  A path has its mirror, and a cycle its
+    rotations and reflections.
+    """
+    if kind == CYCLE_KIND:
+        return ([tuple((i + k) % n for i in range(n)) for k in range(n)]
+                + [tuple((k - i) % n for i in range(n)) for k in range(n)])
+    return [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+
+
 def _configs_by_n(scan: str, kind: str, n_min: int, n_max: int
-                  ) -> Iterator[tuple[CoxeterGraph, Iterator[CrossSectionLattice]]]:
-    """Each n's graph and configurations, in increasing n and j0."""
+                  ) -> Iterator[tuple[CoxeterGraph, Iterator[tuple]]]:
+    """Each n's graph and configurations, in increasing n and j0.
+
+    Each configuration comes with the least j0 of its orbit under
+    _automorphisms and a table of the image of every node set under a
+    relabeling that maps the configuration's j0 there.
+    """
     rule = SCAN_RULES[scan]
     for n in rule.n_range(kind, n_max, n_min):
         g = family_graph(kind, n)
+        perms = _automorphisms(kind, n)
+        masks = np.arange(g.full_mask + 1)
+        tables = np.zeros((len(perms), len(masks)), dtype=masks.dtype)
+        for table, perm in zip(tables, perms):
+            for i, image in enumerate(perm):
+                table |= ((masks >> i) & 1) << image
+        best = tables.argmin(axis=0).tolist()
         j0s = range(g.full_mask) if rule.skips_degenerate else range(g.full_mask + 1)
-        yield g, (CrossSectionLattice(g, j0) for j0 in j0s)
+        yield g, ((CrossSectionLattice(g, j0), int(tables[best[j0], j0]), tables[best[j0]])
+                  for j0 in j0s)
+
+
+def _by_orbit(scan: str, kind: str, n_min: int, n_max: int, oracle
+              ) -> Iterator[tuple[CrossSectionLattice, object]]:
+    """Each configuration with oracle(its poset), run once per orbit.
+
+    The orbit's least j0 comes first and runs the oracle.  Every other
+    configuration reuses that value once its relabeled elements are the
+    representative's: the relabeling is then an isomorphism of the two
+    inclusion orders, whether or not it keeps the graph's edges, so the
+    value is the configuration's own.  Otherwise it raises RuntimeError.
+    """
+    for _, configs in _configs_by_n(scan, kind, n_min, n_max):
+        known: dict[int, tuple[np.ndarray, object]] = {}
+        for lat, rep, relabel in configs:
+            elements = np.sort(relabel[np.array(lat.elements)])
+            if rep == lat.j0:
+                known[rep] = (elements, oracle(lat.to_poset()))
+            elif not np.array_equal(elements, known[rep][0]):
+                raise RuntimeError(f"relabeling maps j0=0x{lat.j0:x} outside the lattice "
+                                   f"of its orbit representative j0=0x{rep:x}")
+            yield lat, known[rep][1]
 
 
 def theorem_equivalence_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Every closed-form criterion against its engine oracle, all j0."""
     rows: list[CriterionReport] = []
-    for _, lats in _configs_by_n("theorems", kind, n_min, n_max):
-        for lat in lats:
+    for _, configs in _configs_by_n("theorems", kind, n_min, n_max):
+        for lat, _, _ in configs:
             _theorem_rows(lat, rows)
     return rows
 
@@ -435,13 +489,14 @@ def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None
 
 def supersolvable_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Path criterion against the modular-chain search, all j0."""
-    rows = []
-    for _, lats in _configs_by_n("supersolvable", kind, n_min, n_max):
-        for lat in lats:
-            brute, _ = lat.to_poset().is_supersolvable_bruteforce()
-            rows.append(_row(lat, "supersolvable_end_or_singleton",
-                             str(supersolvability_criterion(lat)), str(brute)))
-    return rows
+    return [_row(lat, "supersolvable_end_or_singleton",
+                 str(supersolvability_criterion(lat)), str(brute))
+            for lat, brute in _by_orbit("supersolvable", kind, n_min, n_max,
+                                        _brute_supersolvable)]
+
+
+def _brute_supersolvable(poset) -> bool:
+    return poset.is_supersolvable_bruteforce()[0]
 
 
 def conjecture_charpoly_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
@@ -450,20 +505,16 @@ def conjecture_charpoly_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crit
     Degenerate j0 (the full node set) is skipped: it corresponds to a
     zero highest weight, which the monoid setting excludes.
     """
-    rows = []
-    for _, lats in _configs_by_n("charpoly", kind, n_min, n_max):
-        for lat in lats:
-            direct = lat.to_poset().characteristic_polynomial()
-            rows.append(_row(lat, "charpoly_product_form",
-                             str(charpoly_formula(lat)), str(direct)))
-    return rows
+    return [_row(lat, "charpoly_product_form", str(charpoly_formula(lat)), direct)
+            for lat, direct in _by_orbit("charpoly", kind, n_min, n_max,
+                                         lambda p: str(p.characteristic_polynomial()))]
 
 
 def conjecture_chains_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Chain-product prediction on every distributive nondegenerate config."""
     return [conjecture_chains_check(lat)
-            for _, lats in _configs_by_n("chains", kind, n_min, n_max)
-            for lat in lats if distributivity_criterion(lat)]
+            for _, configs in _configs_by_n("chains", kind, n_min, n_max)
+            for lat, _, _ in configs if distributivity_criterion(lat)]
 
 
 def partition_count(n: int) -> int:
@@ -482,13 +533,13 @@ def distributive_count_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crite
     """Distinct chain-product lattices per n: factorization types against
     a brute isomorphism classification."""
     rows = []
-    for g, lats in _configs_by_n("distributive-count", kind, n_min, n_max):
+    for g, configs in _configs_by_n("distributive-count", kind, n_min, n_max):
         types = set()
         # one representative poset per isomorphism class, the chain
         # products apart from the rest
         products: list = []
         others: list = []
-        for lat in lats:
+        for lat, _, _ in configs:
             if not distributivity_criterion(lat):
                 continue
             poset = lat.to_poset()
@@ -509,18 +560,19 @@ def inner_product_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionR
     """beta({1}) against the free node count; the two differ by one.
 
     Reported for inspection, not a theorem check: agree stays False on
-    every row with at least two free nodes.
+    every row with at least two free nodes.  Lattices of rank below 2 are
+    left out.
     """
+    def beta1_and_atoms(p):
+        return (flag_beta(p).get((1,), 0), len(p.atoms())) if p.rank_of_top() >= 2 else None
+
     rows = []
-    for _, lats in _configs_by_n("inner-product", kind, n_min, n_max):
-        for lat in lats:
-            poset = lat.to_poset()
-            if poset.rank_of_top() < 2:
-                continue
-            beta1 = flag_beta(poset).get((1,), 0)
+    for lat, flag in _by_orbit("inner-product", kind, n_min, n_max, beta1_and_atoms):
+        if flag is not None:
+            beta1, atoms = flag
             free_count = (lat.graph.full_mask & ~lat.j0).bit_count()
             rows.append(_row(lat, "flag_beta1_vs_free_count", str(beta1), str(free_count),
-                             note=f"beta1_plus_1={beta1 + 1};atoms={len(poset.atoms())}"))
+                             note=f"beta1_plus_1={beta1 + 1};atoms={atoms}"))
     return rows
 
 
@@ -533,16 +585,15 @@ def circuit_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]
     lattice through the chain symmetric around that vertex).
     """
     rows = []
-    for _, lats in _configs_by_n("circuit", kind, n_min, n_max):
-        for lat in lats:
-            res = circuit_analysis(lat)
-            if res.phi_applicable:
-                rows.append(_row(lat, "circuit_path_image",
-                                 "equal" if res.phi_matches else "different", "equal",
-                                 note=f"path_j0=0x{res.path_j0_mask:x}"))
-            rows.append(_row(lat, "circuit_supersolvable_singletons",
-                             str(res.predicate_singletons), str(res.brute_supersolvable),
-                             note="" if res.phi_applicable else NO_ADJACENT_FREE_PAIR))
+    for lat, brute in _by_orbit("circuit", kind, n_min, n_max, _brute_supersolvable):
+        path_j0, phi_matches = _path_image(lat)
+        if path_j0 is not None:
+            rows.append(_row(lat, "circuit_path_image",
+                             "equal" if phi_matches else "different", "equal",
+                             note=f"path_j0=0x{path_j0:x}"))
+        rows.append(_row(lat, "circuit_supersolvable_singletons",
+                         str(_singleton_components(lat)), str(brute),
+                         note="" if path_j0 is not None else NO_ADJACENT_FREE_PAIR))
     return rows
 
 

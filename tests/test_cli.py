@@ -329,14 +329,17 @@ def test_scan_cap(capsys):
 
 
 def test_scan_parallel_output_is_identical(capsys):
-    args = ["scan", "charpoly", "--family", "path A", "--n-max", "5",
-            "--format", "csv"]
-    assert main(args) == EXIT_OK
-    seq = capsys.readouterr()
-    assert main(args + ["--jobs", "3"]) == EXIT_OK
-    par = capsys.readouterr()
-    assert par.out == seq.out
-    assert par.err == seq.err
+    # each chunk keeps its own orbit values, so reuse never crosses workers
+    for args in (["scan", "charpoly", "--family", "path A", "--n-max", "5"],
+                 ["scan", "charpoly", "--family", "path B", "--n-max", "6"],
+                 ["scan", "circuit", "--family", "cycle", "--n-max", "7"]):
+        args = args + ["--format", "csv"]
+        assert main(args) == EXIT_OK
+        seq = capsys.readouterr()
+        assert main(args + ["--jobs", "3"]) == EXIT_OK
+        par = capsys.readouterr()
+        assert par.out == seq.out, args
+        assert par.err == seq.err, args
 
 
 def test_scan_circuit_starts_at_three(capsys):

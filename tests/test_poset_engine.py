@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from reference_routes import (
+    antichain_blocks,
     boolean_lattice_by_outer_product,
     chain_product_by_broadcast,
     classify_rank3_interval,
@@ -30,6 +31,7 @@ from reference_routes import (
     is_right_modular,
     is_self_dual,
     maximal_chains,
+    mobius_by_antichain_blocks,
     poset_from_cover_relations,
     rank_counts,
     ranks_by_cover_loop,
@@ -1181,12 +1183,71 @@ def test_mobius_rows_match_reference_on_random_posets(p):
 
 def test_antichain_blocks():
     b3 = boolean_lattice(3)
-    assert [block.tolist() for block in b3._antichain_blocks] == [
+    assert [block.tolist() for block in antichain_blocks(b3)] == [
         [0], [1, 2, 3], [4, 5, 6], [7]]
     # the pentagon is not graded: one element per block, in linext order
     n5 = pentagon()
-    assert [block.tolist() for block in n5._antichain_blocks] == [
+    assert [block.tolist() for block in antichain_blocks(n5)] == [
         [v] for v in n5.linext]
+
+
+def test_mobius_levels_are_contiguous_index_ranges():
+    order, L, ends = boolean_lattice(3)._levels
+    assert order is None and ends == [1, 4, 7, 8]
+    # the pentagon 0 < 1 < 2 < 4, 0 < 3 < 4 is not graded: its heights are
+    # 0, 1, 2, 1, 3, so 3 moves before 2 and leq is permuted once
+    n5 = pentagon()
+    order, L, ends = n5._levels
+    assert order.tolist() == [0, 1, 3, 2, 4] and ends == [1, 3, 4, 5]
+    assert (L == n5.leq[np.ix_(order, order)]).all()
+    assert n5._levels[1] is L
+
+
+def assert_mobius_matches_blocked_reference(p: FinitePoset, name) -> None:
+    for x in range(p.size):
+        assert (p.mobius_from(x) == mobius_by_antichain_blocks(p, x)).all(), (name, x)
+
+
+def test_mobius_rows_match_blocked_reference():
+    rng = random.Random(20)
+    for name, p in reference_lattices():
+        assert_mobius_matches_blocked_reference(p, name)
+        order = list(range(p.size))
+        rng.shuffle(order)
+        shuffled = relabeled(p, order)
+        assert_mobius_matches_blocked_reference(shuffled, (name, "relabeled"))
+        if isinstance(name, tuple):
+            # cross section lattices are sorted by rank already, so their
+            # rows read leq itself
+            assert p._levels[0] is None and p._levels[1] is p.leq, name
+
+
+def test_interval_mobius_rows_match_blocked_reference():
+    rng = random.Random(21)
+    for name, p in family_lattices(kinds=("path_A", "cycle"), n_max=4):
+        order = list(range(p.size))
+        rng.shuffle(order)
+        shuffled = relabeled(p, order)
+        for x in range(p.size):
+            for y in np.flatnonzero(p.leq[x]).tolist():
+                sub = p.interval_poset(x, y)
+                # so are their intervals
+                assert sub._levels[0] is None, (name, x, y)
+                assert_mobius_matches_blocked_reference(sub, (name, x, y))
+                inner = shuffled.interval_poset(order.index(x), order.index(y))
+                assert_mobius_matches_blocked_reference(inner, (name, x, y, "relabeled"))
+
+
+@given(random_posets())
+@settings(max_examples=100, deadline=None)
+def test_mobius_rows_match_blocked_reference_on_random_posets(p):
+    # most draws are ungraded or have no bottom, so they fall back to heights
+    completion = macneille_completion(p)
+    for name, q in (("draw", p), ("completion", completion), ("dual", dual(p))):
+        assert_mobius_matches_blocked_reference(q, name)
+        for x in range(q.size):
+            for y in np.flatnonzero(q.leq[x]).tolist():
+                assert_mobius_matches_blocked_reference(q.interval_poset(x, y), (name, x, y))
 
 
 def assert_tables_fresh(q: FinitePoset, name: str) -> None:

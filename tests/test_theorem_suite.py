@@ -2,8 +2,11 @@
 
 import pytest
 
+from crosslat import theorem_suite
 from crosslat.crosslattice import CrossSectionLattice
 from crosslat.diagram import (
+    CYCLE_KIND,
+    PATH_KINDS,
     build_cycle_diagram,
     build_path_diagram,
     nodes_to_mask,
@@ -16,6 +19,7 @@ from crosslat.errors import (
 )
 from crosslat.poset_engine import chain_product_poset, posets_isomorphic
 from crosslat.theorem_suite import (
+    MAX_SCAN_NODES,
     SCAN_FUNCTIONS,
     SCAN_RULES,
     charpoly_formula,
@@ -320,6 +324,86 @@ def test_scan_range_guards():
         supersolvable_scan("path_A", 13)
     with pytest.raises(InvalidSizeError):
         supersolvable_scan("path_A", 2, n_min=5)
+
+
+ORBIT_SCANS = ("charpoly", "supersolvable", "inner-product", "circuit")
+
+
+def orbit_scan_families(scan):
+    return [("cycle", 9)] if scan == "circuit" else [(kind, 8) for kind in PATH_KINDS]
+
+
+def identity_only(kind, n):
+    return [tuple(range(n))]
+
+
+def test_automorphisms_are_graph_automorphisms_forming_the_stated_group():
+    for kind in PATH_KINDS + (CYCLE_KIND,):
+        for n in range(3 if kind == CYCLE_KIND else 1, MAX_SCAN_NODES + 1):
+            g = family_graph(kind, n)
+            perms = theorem_suite._automorphisms(kind, n)
+            assert perms[0] == tuple(range(n))
+            for perm in perms:
+                assert sorted(perm) == list(range(n))
+                image = {tuple(sorted((perm[a - 1] + 1, perm[b - 1] + 1)))
+                         for a, b in g.edges}
+                assert image == set(g.edges), (kind, n, perm)
+            # closed under composition: a group, so the orbits partition the j0s
+            assert {tuple(p[q[i]] for i in range(n)) for p in perms for q in perms} == set(perms)
+            # the mirror of a path, the dihedral group of a cycle
+            assert len(set(perms)) == (2 * n if kind == CYCLE_KIND else min(2, n))
+
+
+def bracelets(n):
+    """Node sets of an n-cycle up to rotation and reflection, by brute force."""
+    def canonical(bits):
+        turns = [bits[k:] + bits[:k] for k in range(n)]
+        return min(turns + [t[::-1] for t in turns])
+    return len({canonical(tuple(j0 >> i & 1 for i in range(n))) for j0 in range(1 << n)})
+
+
+@pytest.mark.parametrize("scan", ORBIT_SCANS)
+def test_orbit_reuse_matches_the_full_route(scan, monkeypatch):
+    built = []
+    to_poset = CrossSectionLattice.to_poset
+
+    def counting(lat):
+        built.append((lat.graph.n, lat.j0))
+        return to_poset(lat)
+
+    monkeypatch.setattr(CrossSectionLattice, "to_poset", counting)
+    for kind, n_max in orbit_scan_families(scan):
+        built.clear()
+        orbit = SCAN_FUNCTIONS[scan](kind, n_max)
+        if kind == CYCLE_KIND:
+            # one oracle run per bracelet but the skipped full node set
+            assert len(built) == sum(bracelets(n) - 1 for n in range(3, n_max + 1))
+        else:
+            # one per mirror pair; the degenerate j0 is its own mirror image
+            pairs = sum(2 ** (n - 1) + 2 ** ((n - 1) // 2) for n in range(1, n_max + 1))
+            assert len(built) == pairs - (n_max if SCAN_RULES[scan].skips_degenerate else 0)
+        with monkeypatch.context() as m:
+            m.setattr(theorem_suite, "_automorphisms", identity_only)
+            built.clear()
+            full = SCAN_FUNCTIONS[scan](kind, n_max)
+        # and one per configuration on the full route
+        n_range = SCAN_RULES[scan].n_range(kind, n_max)
+        skips = SCAN_RULES[scan].skips_degenerate
+        assert sorted(built) == [(n, j0) for n in n_range for j0 in range(2 ** n - skips)]
+        assert [repr(r) for r in orbit] == [repr(r) for r in full], (scan, kind)
+
+
+@pytest.mark.parametrize("scan", ORBIT_SCANS)
+def test_a_wrong_relabeling_fails_the_certificate(scan, monkeypatch):
+    # swapping nodes 1 and 2 keeps neither a path nor a cycle from n = 4 on;
+    # with the identity it still forms a group, so every orbit has a least j0
+    def swap_one_two(kind, n):
+        return [tuple(range(n)), (1, 0) + tuple(range(2, n))]
+
+    monkeypatch.setattr(theorem_suite, "_automorphisms", swap_one_two)
+    kind = CYCLE_KIND if scan == "circuit" else "path_A"
+    with pytest.raises(RuntimeError, match="outside the lattice of its orbit representative"):
+        SCAN_FUNCTIONS[scan](kind, 4, n_min=4)
 
 
 def test_theorem_equivalence_scan_all_agree():
