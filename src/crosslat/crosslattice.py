@@ -1,24 +1,28 @@
 """Lattices of admissible node subsets of a graph.
 
 Fix a graph on nodes 1..n and a distinguished node set j0.  A subset u
-is admissible when no connected component of u lies entirely inside j0.
-The admissible subsets ordered by inclusion form a lattice: joins are
-unions, and the meet of u and v keeps the components of u & v that
-reach outside j0.  Elements are single int bitmasks throughout.
+is admissible when no connected component of u lies entirely inside j0,
+that is when u equals its escaping part: the nodes joined inside u to a
+node of u outside j0.  The admissible subsets ordered by inclusion form
+a lattice: joins are unions, and the meet of u and v is the escaping
+part of u & v.  Elements are single int bitmasks throughout.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator
 
-from .diagram import CoxeterGraph, connected_components, iter_nodes, node_bit
+import numpy as np
+
+from .diagram import CoxeterGraph, iter_nodes, node_bit, reach
 from .errors import EmptyIntervalError, MembershipError, SizeLimitError
-from .poset_engine import FinitePoset, _subset_order
+from .poset_engine import FinitePoset, _popcount_sorted, _subset_order
 
-# Full enumeration is exponential in the node count; refuse past this.
-# _subset_order builds the order from uint32 masks, so it must stay <= 32.
+# Full enumeration tests all 2**n subsets at once as uint32 arrays; refuse
+# past this.  At 24 nodes the list of ints it returns dominates: path A 24
+# with {2,4} marked (13.1 million elements) peaks at 598 MB RSS.  The uint32
+# masks of _subset_order and the sort key popcount << n | mask need the assert.
 MAX_ENUM_NODES = 24
-assert MAX_ENUM_NODES <= 32
+assert (MAX_ENUM_NODES + 1) << MAX_ENUM_NODES <= 1 << 32
 
 # The poset view holds dense N x N arrays.  The order and FinitePoset.covers
 # take about 2 bytes per pair of elements on a cross section lattice, whose
@@ -29,51 +33,27 @@ assert MAX_ENUM_NODES <= 32
 MAX_POSET_ELEMENTS = 12_000
 
 
+def _escaping(g: CoxeterGraph, j0_mask: int, m):
+    """The components of m (an int or uint32 array) that reach outside j0."""
+    return reach(g, m & (g.full_mask & ~j0_mask), m)
+
+
 def is_admissible(g: CoxeterGraph, j0_mask: int, u_mask: int) -> bool:
     """Whether every connected component of u_mask reaches outside j0_mask."""
     g.check_subset(j0_mask)
     g.check_subset(u_mask)
-    for comp in connected_components(g, u_mask):
-        if not comp & ~j0_mask:
-            return False
-    return True
-
-
-def _admissible_extensions(g: CoxeterGraph, j0_mask: int, u_mask: int) -> Iterator[int]:
-    """Nodes whose addition to an admissible set stays admissible.
-
-    Adding a node keeps admissibility exactly when the node is outside
-    j0 or touches the current set, since its new component then either
-    contains the node itself or absorbs a component that already
-    reached outside j0.
-    """
-    reach = ~j0_mask | g.adjacent_to_set(u_mask)
-    for alpha in iter_nodes(g.full_mask & ~u_mask & reach):
-        yield alpha
+    return _escaping(g, j0_mask, u_mask) == u_mask
 
 
 def enumerate_lattice(g: CoxeterGraph, j0_mask: int) -> list[int]:
-    """All admissible subsets, sorted by cardinality then mask value.
-
-    A nonempty admissible set stays admissible without some node (a leaf
-    of a spanning tree of one of its components, other than a node of
-    that component outside j0), so each rank grows from the one below by
-    the rule of _admissible_extensions, and each level is sorted on its
-    own.
-    """
+    """All admissible subsets, sorted by cardinality then mask value."""
     g.check_subset(j0_mask)
     if g.n > MAX_ENUM_NODES:
         raise SizeLimitError(
             f"enumeration capped at {MAX_ENUM_NODES} nodes, got {g.n}")
-    steps = [(node_bit(a), not j0_mask & node_bit(a), g.neighbors(a))
-             for a in range(1, g.n + 1)]
-    out: list[int] = []
-    level = [0]
-    while level:
-        out += level
-        level = sorted({u | bit for u in level for bit, free, nb in steps
-                        if not u & bit and (free or u & nb)})
-    return out
+    cube = np.arange(1 << g.n, dtype=np.uint32)
+    cube = cube[_escaping(g, j0_mask, cube) == cube]
+    return _popcount_sorted(cube, g.n)
 
 
 class CrossSectionLattice:
@@ -130,16 +110,23 @@ class CrossSectionLattice:
         """Union of the components of the intersection that escape j0."""
         u = self._check_member(u)
         v = self._check_member(v)
-        out = 0
-        for comp in connected_components(self.graph, u & v):
-            if comp & ~self.j0:
-                out |= comp
-        return out
+        return _escaping(self.graph, self.j0, u & v)
 
     def covers(self, u: int) -> list[int]:
-        """Upper covers of u, which are exactly its one-node extensions."""
+        """Upper covers of u, which are exactly its one-node extensions.
+
+        Any admissible v > u has a component C that meets v - u and reaches
+        outside j0.  Either a node of C - u lies outside j0, or u holds a
+        node of C outside j0 and, C being connected, a node of C - u touches
+        u.  Adding that node to u keeps u admissible, as its new component
+        reaches outside j0.  So every v > u lies above an admissible
+        one-node extension of u; from u = 0 on, the lattice is graded by
+        popcount, and each nonempty element stays admissible without some
+        node.
+        """
         u = self._check_member(u)
-        return [u | node_bit(a) for a in _admissible_extensions(self.graph, self.j0, u)]
+        grown = (u | node_bit(a) for a in iter_nodes(self.graph.full_mask & ~u))
+        return [w for w in grown if w in self._index]
 
     def atoms(self) -> list[int]:
         return self.covers(0)

@@ -96,25 +96,25 @@ class CoxeterGraph:
                 raise InvalidEdgeError(f"edge ({a},{b}) leaves 1..{node_count}")
             canon.add((min(a, b), max(a, b)))
         self.edges = frozenset(canon)
-        adj = [0] * (node_count + 1)
+        # edges grouped by label distance d, each group as the mask of its
+        # lower ends: a path has one group, a cycle two
+        self._low_ends: dict[int, int] = {}
         for a, b in self.edges:
-            adj[a] |= node_bit(b)
-            adj[b] |= node_bit(a)
-        self._adj = tuple(adj)
+            self._low_ends[b - a] = self._low_ends.get(b - a, 0) | node_bit(a)
         self.full_mask = (1 << node_count) - 1
 
     def neighbors(self, i: int) -> int:
         """Bitmask of nodes adjacent to node i."""
-        return self._adj[i]
+        return self.adjacent_to_set(node_bit(i))
 
     def degree(self, i: int) -> int:
-        return self._adj[i].bit_count()
+        return self.neighbors(i).bit_count()
 
-    def adjacent_to_set(self, mask: int) -> int:
-        """Bitmask of all nodes adjacent to at least one node of mask."""
-        out = 0
-        for i in iter_nodes(mask):
-            out |= self._adj[i]
+    def adjacent_to_set(self, mask):
+        """Nodes adjacent to a node of mask, an int or an unsigned array of masks."""
+        out = mask & 0  # 0, or zeros shaped like an array mask
+        for d, low in self._low_ends.items():
+            out = out | ((mask & low) << d) | ((mask >> d) & low)
         return out
 
     def check_subset(self, mask: int) -> None:
@@ -162,6 +162,17 @@ def build_custom_graph(n: int, edges: Iterable[tuple[int, int]]) -> CoxeterGraph
     return CoxeterGraph(n, edges, kind=CUSTOM_KIND)
 
 
+def reach(g: CoxeterGraph, seed, within):
+    """seed grown by its neighbours in within to a fixed point, elementwise
+    on ints or unsigned arrays of masks."""
+    while True:
+        grown = seed | (g.adjacent_to_set(seed) & within)
+        # a plain == on an int: np.array_equal would cost more than the step
+        if (grown == seed) if isinstance(grown, int) else (grown == seed).all():
+            return grown
+        seed = grown
+
+
 def connected_components(g: CoxeterGraph, mask: int) -> list[int]:
     """Connected components of the subgraph induced by mask.
 
@@ -172,12 +183,7 @@ def connected_components(g: CoxeterGraph, mask: int) -> list[int]:
     out = []
     rest = mask
     while rest:
-        comp = rest & -rest
-        while True:
-            grown = comp | (g.adjacent_to_set(comp) & mask)
-            if grown == comp:
-                break
-            comp = grown
+        comp = reach(g, rest & -rest, mask)
         out.append(comp)
         rest &= ~comp
     return out
@@ -190,11 +196,7 @@ def is_connected_subset(g: CoxeterGraph, mask: int) -> bool:
 
 def end_nodes(g: CoxeterGraph) -> int:
     """Bitmask of nodes with degree exactly one."""
-    out = 0
-    for i in range(1, g.n + 1):
-        if g.degree(i) == 1:
-            out |= node_bit(i)
-    return out
+    return nodes_to_mask(i for i in range(1, g.n + 1) if g.degree(i) == 1)
 
 
 def is_standard_path(g: CoxeterGraph) -> bool:

@@ -816,13 +816,23 @@ def _subset_order(masks: Sequence[int]) -> np.ndarray:
     return leq
 
 
+def _popcount_sorted(masks: np.ndarray, k: int) -> list[int]:
+    """uint32 masks below 2**k as ints by (popcount, mask), the order of
+    every subset family here, on which posets_isomorphic's identity
+    certificate relies.  Sorts in place by popcount << k | mask."""
+    masks |= np.bitwise_count(masks).astype(np.uint32) << k
+    masks.sort()
+    masks &= (1 << k) - 1
+    return masks.tolist()
+
+
 def boolean_lattice(k: int) -> FinitePoset:
     """Subset lattice of a k-element set, elements ordered by (popcount, mask)."""
     if k < 0:
         raise InvalidSizeError("rank must be nonnegative")
     if 1 << k > ISO_SIZE_CAP:
         raise SizeLimitError(f"boolean lattice above {ISO_SIZE_CAP} elements refused")
-    masks = sorted(range(1 << k), key=lambda m: (m.bit_count(), m))
+    masks = _popcount_sorted(np.arange(1 << k, dtype=np.uint32), k)
     return FinitePoset._adopt(_subset_order(masks), labels=masks)
 
 

@@ -4,10 +4,13 @@ Each helper answers by the definition, by a plain search or by the dense
 build the engine used before, and takes the poset (or polynomial, or cross
 section lattice, or what a poset builder takes) as its first argument.  The
 engine in crosslat.poset_engine answers the same questions, where it needs
-them, through one faster route; the tests compare it against these.
+them, through one faster route; the tests compare it against these.  The
+adjacency and admissibility helpers at the end take the graph first and
+stand in for crosslat.diagram and crosslat.crosslattice.
 """
 import numpy as np
 
+from crosslat.diagram import iter_nodes, node_bit
 from crosslat.errors import GradednessError, PreconditionError
 from crosslat.poset_engine import (
     CharPolynomial,
@@ -266,3 +269,43 @@ def classify_rank3_interval(p: FinitePoset) -> str:
     if p.size == 6 and posets_isomorphic(p, fence6_poset()):
         return "fence6"
     return "other"
+
+
+# -- adjacency and admissibility ---------------------------------------------------
+
+
+def adjacent_by_node_loop(g, mask: int) -> int:
+    """g.adjacent_to_set(mask), as the OR of each node's neighbour mask."""
+    adj = [0] * (g.n + 1)
+    for a, b in g.edges:
+        adj[a] |= node_bit(b)
+        adj[b] |= node_bit(a)
+    out = 0
+    for i in iter_nodes(mask):
+        out |= adj[i]
+    return out
+
+
+def admissible_extensions(g, j0: int, u: int):
+    """Nodes whose addition to the admissible set u keeps it admissible.
+
+    They are the nodes outside j0 or touching u: the node's new component
+    then contains the node itself, or absorbs a component of u, which
+    already reached outside j0.
+    """
+    return iter_nodes(g.full_mask & ~u & (~j0 | adjacent_by_node_loop(g, u)))
+
+
+def enumerate_by_levels(g, j0: int) -> list[int]:
+    """enumerate_lattice(g, j0) by the level step.
+
+    Each popcount level grows from the one below by admissible
+    extensions (see CrossSectionLattice.covers) and is sorted on its own.
+    """
+    out: list[int] = []
+    level = [0]
+    while level:
+        out += level
+        level = sorted({u | node_bit(a) for u in level
+                        for a in admissible_extensions(g, j0, u)})
+    return out

@@ -8,14 +8,9 @@ used by the implementation.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_routes import lattice_maximal_chains
+from reference_routes import admissible_extensions, enumerate_by_levels, lattice_maximal_chains
 
-from crosslat.crosslattice import (
-    CrossSectionLattice,
-    _admissible_extensions,
-    enumerate_lattice,
-    is_admissible,
-)
+from crosslat.crosslattice import CrossSectionLattice, enumerate_lattice, is_admissible
 from crosslat.diagram import (
     CoxeterGraph,
     build_custom_graph,
@@ -67,6 +62,30 @@ def _path_config(n, j0_raw):
     return g, j0_raw & g.full_mask
 
 
+def four_cycle_with_tail():
+    """The four-cycle 1-2-3-4 with node 5 hanging off node 3."""
+    return build_custom_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (3, 5)])
+
+
+@st.composite
+def graph_configs(draw):
+    """A path A, a cycle or a drawn graph on at most 7 nodes, and a j0.
+
+    Drawn edges may join far-apart labels, so those graphs have edges at
+    several label distances.
+    """
+    kind = draw(st.sampled_from(("path", "cycle", "drawn")))
+    if kind == "path":
+        g = build_path_diagram("A", draw(st.integers(min_value=1, max_value=6)))
+    elif kind == "cycle":
+        g = build_cycle_diagram(draw(st.integers(min_value=3, max_value=7)))
+    else:
+        n = draw(st.integers(min_value=1, max_value=7))
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        g = build_custom_graph(n, draw(st.lists(st.sampled_from(pairs))) if pairs else [])
+    return g, draw(st.integers(min_value=0, max_value=g.full_mask))
+
+
 # -- admissibility ----------------------------------------------------------------
 
 
@@ -82,10 +101,10 @@ def test_admissibility_hand_cases():
     assert not is_admissible(g, j0, nodes_to_mask([2, 4]))
 
 
-@given(SMALL_CONFIGS, st.integers(min_value=0, max_value=63))
+@given(graph_configs(), st.integers(min_value=0, max_value=127))
 @settings(max_examples=300)
 def test_admissibility_matches_union_find(cfg, u_raw):
-    g, j0 = _path_config(*cfg)
+    g, j0 = cfg
     u = u_raw & g.full_mask
     assert is_admissible(g, j0, u) == brute_admissible(g, j0, u)
 
@@ -122,7 +141,7 @@ def enumerate_by_search(g: CoxeterGraph, j0: int) -> list[int]:
     frontier = [0]
     while frontier:
         u = frontier.pop()
-        for alpha in _admissible_extensions(g, j0, u):
+        for alpha in admissible_extensions(g, j0, u):
             grown = u | node_bit(alpha)
             if grown not in seen:
                 seen.add(grown)
@@ -137,14 +156,15 @@ def enumeration_graphs():
     for n in range(3, 9):
         yield build_cycle_diagram(n)
     yield build_custom_graph(4, [(1, 2), (3, 4)])
-    # a four-cycle 1-2-3-4 with node 5 hanging off node 3
-    yield build_custom_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (3, 5)])
+    yield four_cycle_with_tail()
 
 
 def test_rank_by_rank_enumeration_matches_search():
     for g in enumeration_graphs():
         for j0 in range(g.full_mask + 1):
-            assert enumerate_lattice(g, j0) == enumerate_by_search(g, j0), (g.kind, g.n, j0)
+            got = enumerate_lattice(g, j0)
+            assert got == enumerate_by_levels(g, j0) == enumerate_by_search(g, j0), (
+                g.kind, g.n, j0)
 
 
 def test_known_element_lists():
@@ -202,11 +222,12 @@ def test_join_is_union(cfg, data):
     assert w in lat  # admissible sets are closed under union
 
 
-@given(SMALL_CONFIGS, st.data())
+@given(graph_configs(), st.data())
 @settings(max_examples=200)
 def test_meet_is_greatest_lower_bound(cfg, data):
-    g, j0 = _path_config(*cfg)
+    g, j0 = cfg
     lat = CrossSectionLattice(g, j0)
+    assert list(lat.elements) == enumerate_by_levels(g, j0)
     u = data.draw(st.sampled_from(lat.elements))
     v = data.draw(st.sampled_from(lat.elements))
     w = lat.meet(u, v)
@@ -231,15 +252,15 @@ def test_meet_drops_trapped_components():
 
 
 def test_covers_are_single_node_extensions():
-    g = build_path_diagram("A", 5)
-    for j0 in (0, nodes_to_mask([1, 2, 5]), nodes_to_mask([2, 4])):
-        lat = CrossSectionLattice(g, j0)
-        poset = lat.to_poset()
-        for i, u in enumerate(lat.elements):
-            ups = {lat.elements[int(j)] for j in poset.covers[i, :].nonzero()[0]}
-            assert ups == set(lat.covers(u))
-            for v in ups:
-                assert v.bit_count() == u.bit_count() + 1
+    for g in (build_path_diagram("A", 5), build_cycle_diagram(6), four_cycle_with_tail()):
+        for j0 in range(g.full_mask + 1):
+            lat = CrossSectionLattice(g, j0)
+            poset = lat.to_poset()
+            for i, u in enumerate(lat.elements):
+                ups = {lat.elements[int(j)] for j in poset.covers[i, :].nonzero()[0]}
+                assert ups == set(lat.covers(u))
+                for v in ups:
+                    assert v.bit_count() == u.bit_count() + 1
 
 
 def test_atoms_are_free_singletons():

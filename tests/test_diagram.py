@@ -1,7 +1,10 @@
 """Graph construction, bitmask helpers, and connectivity."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from reference_routes import adjacent_by_node_loop
 
 from crosslat.diagram import (
     CoxeterGraph,
@@ -110,12 +113,31 @@ def test_graph_equality_ignores_kind():
     assert hash(a) == hash(c)
 
 
-def test_adjacent_to_set():
+@st.composite
+def graph_and_mask(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    possible = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(possible), max_size=len(possible))) if possible else []
+    g = build_custom_graph(n, edges)
+    mask = draw(st.integers(min_value=0, max_value=g.full_mask))
+    return g, mask
+
+
+@given(graph_and_mask())
+def test_adjacent_to_set(gm):
     g = build_path_diagram("A", 5)
     assert g.adjacent_to_set(nodes_to_mask([3])) == nodes_to_mask([2, 4])
     # nodes of the set itself may appear when they neighbor each other
     assert g.adjacent_to_set(nodes_to_mask([1, 2])) == nodes_to_mask([1, 2, 3])
     assert g.adjacent_to_set(0) == 0
+    # drawn edges join labels at many distances; ints and uint32 arrays
+    # both match the OR of the per-node neighbour masks
+    g, mask = gm
+    assert g.adjacent_to_set(mask) == adjacent_by_node_loop(g, mask)
+    cube = np.arange(g.full_mask + 1, dtype=np.uint32)
+    got = g.adjacent_to_set(cube)
+    assert got.dtype == np.uint32
+    assert got.tolist() == [adjacent_by_node_loop(g, m) for m in range(g.full_mask + 1)]
 
 
 def test_connected_components_ordering():
@@ -130,16 +152,6 @@ def test_is_connected_subset():
     assert is_connected_subset(g, nodes_to_mask([4, 1]))
     assert not is_connected_subset(g, nodes_to_mask([1, 3]))
     assert is_connected_subset(g, g.full_mask)
-
-
-@st.composite
-def graph_and_mask(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
-    possible = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    edges = draw(st.lists(st.sampled_from(possible), max_size=len(possible))) if possible else []
-    g = build_custom_graph(n, edges)
-    mask = draw(st.integers(min_value=0, max_value=g.full_mask))
-    return g, mask
 
 
 @given(graph_and_mask())

@@ -38,8 +38,8 @@ from reference_routes import (
 )
 
 from crosslat import poset_engine
-from crosslat.crosslattice import CrossSectionLattice
-from crosslat.diagram import build_custom_graph, parse_nodeset
+from crosslat.crosslattice import CrossSectionLattice, enumerate_lattice
+from crosslat.diagram import build_custom_graph, build_path_diagram, parse_nodeset
 from crosslat.errors import (
     EmptyIntervalError,
     GradednessError,
@@ -1394,6 +1394,9 @@ def every_interval(kinds, n_max):
 def test_boolean_intervals_are_certified_without_search(monkeypatch):
     # a Boolean interval of a cross section lattice lists its elements in
     # boolean_lattice's order, so equal order matrices decide it
+    for k in range(1, 7):
+        whole = enumerate_lattice(build_path_diagram("A", k), 0)
+        assert boolean_lattice(k).labels == tuple(whole)
     families = ((("path_A", "path_B", "path_C"), 4), (("cycle",), 5))
     boolean = [key for kinds, n_max in families
                for key, sub in every_interval(kinds, n_max)
