@@ -17,7 +17,6 @@ import dataclasses
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .crosslattice import CrossSectionLattice
@@ -363,6 +362,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     _check_table_format("scan", fmt)
     names, kinds = [args.scan_name] * len(chunks), [kind] * len(chunks)
     if jobs > 1:
+        # imported here: it pulls in multiprocessing, which every other
+        # call would pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             parts = list(pool.map(_scan_chunk, names, kinds, chunks))
     else:

@@ -431,13 +431,23 @@ def _by_orbit(scan: str, kind: str, n_min: int, n_max: int, oracle
 def theorem_equivalence_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Every closed-form criterion against its engine oracle, all j0."""
     rows: list[CriterionReport] = []
+    interval_flags: dict[bytes, tuple[bool, bool, bool]] = {}
     for _, configs in _configs_by_n("theorems", kind, n_min, n_max):
         for lat, _, _ in configs:
-            _theorem_rows(lat, rows)
+            _theorem_rows(lat, rows, interval_flags)
     return rows
 
 
-def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None:
+def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport],
+                  interval_flags: dict[bytes, tuple[bool, bool, bool]]) -> None:
+    """Append lat's rows.
+
+    interval_flags maps an interval's order matrix, as bytes, to its
+    relatively complemented, atomic and Boolean flags.  Each flag reads
+    only that matrix (its covers, grading, bottom, top and tables all
+    follow from it), so an interval whose matrix is already a key takes
+    the cached flags; the criterion still runs on every interval.
+    """
     poset = lat.to_poset()
     elements = lat.elements
 
@@ -445,10 +455,13 @@ def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport]) -> None
     for xi in range(poset.size):
         for yi in np.where(poset.leq[xi, :])[0]:
             inter = poset.interval_poset(xi, int(yi))
+            key = inter.leq.tobytes()
+            flags = interval_flags.get(key)
+            if flags is None:
+                flags = interval_flags[key] = (inter.is_relatively_complemented(),
+                                               inter.is_atomic(), inter.is_boolean())
             crit = relcomp_criterion(lat, elements[xi], elements[int(yi)])
-            flags = {crit, inter.is_relatively_complemented(),
-                     inter.is_atomic(), inter.is_boolean()}
-            if len(flags) != 1:
+            if len({crit, *flags}) != 1:
                 interval_bad += 1
 
     # one pass over pairs checks the Mobius formula, the meet/join formulas

@@ -5,8 +5,10 @@ build the engine used before, and takes the poset (or polynomial, or cross
 section lattice, or what a poset builder takes) as its first argument.  The
 engine in crosslat.poset_engine answers the same questions, where it needs
 them, through one faster route; the tests compare it against these.  The
-adjacency and admissibility helpers at the end take the graph first and
-stand in for crosslat.diagram and crosslat.crosslattice.
+theorem scan helper takes a cross section lattice and stands in for a part
+of crosslat.theorem_suite.  The adjacency and admissibility helpers at the
+end take the graph first and stand in for crosslat.diagram and
+crosslat.crosslattice.
 """
 import numpy as np
 
@@ -19,6 +21,7 @@ from crosslat.poset_engine import (
     boolean_lattice,
     posets_isomorphic,
 )
+from crosslat.theorem_suite import relcomp_criterion
 
 
 def evaluate(poly: CharPolynomial, x: int) -> int:
@@ -269,6 +272,28 @@ def classify_rank3_interval(p: FinitePoset) -> str:
     if p.size == 6 and posets_isomorphic(p, fence6_poset()):
         return "fence6"
     return "other"
+
+
+# -- theorem scan -------------------------------------------------------------------
+
+
+def interval_mismatches_by_loop(lat) -> int:
+    """The theorem scan's interval mismatch count, with no memo.
+
+    Every interval [x, y] of lat is built, and its relatively complemented,
+    atomic and Boolean flags are computed afresh; it counts when they and
+    relcomp_criterion do not all agree.
+    """
+    poset = lat.to_poset()
+    elements = lat.elements
+    bad = 0
+    for xi in range(poset.size):
+        for yi in np.flatnonzero(poset.leq[xi]).tolist():
+            inter = poset.interval_poset(xi, yi)
+            flags = {relcomp_criterion(lat, elements[xi], elements[yi]),
+                     inter.is_relatively_complemented(), inter.is_atomic(), inter.is_boolean()}
+            bad += len(flags) != 1
+    return bad
 
 
 # -- adjacency and admissibility ---------------------------------------------------

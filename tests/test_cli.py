@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, config handling."""
 
+import concurrent.futures
 import json
 import os
 import resource
@@ -329,10 +330,12 @@ def test_scan_cap(capsys):
 
 
 def test_scan_parallel_output_is_identical(capsys):
-    # each chunk keeps its own orbit values, so reuse never crosses workers
+    # each chunk keeps its own orbit values and interval flags, so reuse
+    # never crosses workers
     for args in (["scan", "charpoly", "--family", "path A", "--n-max", "5"],
                  ["scan", "charpoly", "--family", "path B", "--n-max", "6"],
-                 ["scan", "circuit", "--family", "cycle", "--n-max", "7"]):
+                 ["scan", "circuit", "--family", "cycle", "--n-max", "7"],
+                 ["scan", "theorems", "--family", "path C", "--n-max", "5"]):
         args = args + ["--format", "csv"]
         assert main(args) == EXIT_OK
         seq = capsys.readouterr()
@@ -438,7 +441,7 @@ def test_scan_range_checked_before_any_chunk(monkeypatch, capsys):
         return []
 
     monkeypatch.setitem(cli.SCAN_FUNCTIONS, "theorems", recording)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(FakeExecutor, "created", [])
     for jobs in ("1", "2"):
         code = main(["scan", "theorems", "--family", "path A",
@@ -452,7 +455,7 @@ def test_scan_format_checked_before_any_chunk(monkeypatch, capsys):
         raise AssertionError("scan ran")
 
     monkeypatch.setitem(cli.SCAN_FUNCTIONS, "charpoly", refuse)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(FakeExecutor, "created", [])
     for jobs in ("1", "2"):
         code = main(["scan", "charpoly", "--family", "path A", "--n-max", "10",
@@ -470,7 +473,7 @@ def test_scan_workers_capped_at_chunk_count(monkeypatch, capsys):
         return []
 
     monkeypatch.setitem(cli.SCAN_FUNCTIONS, "circuit", recording)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(FakeExecutor, "created", [])
     code = main(["scan", "circuit", "--family", "cycle", "--n-max", "4",
                  "--jobs", "64"])
@@ -478,6 +481,17 @@ def test_scan_workers_capped_at_chunk_count(monkeypatch, capsys):
     assert FakeExecutor.created == [2]
     assert calls == [(3, 3), (4, 4)]
     assert "degenerate-skipped=2" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # the pool pulls in multiprocessing, socket and logging; only --jobs
+    # above 1 needs it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, crosslat.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_scan_rejects_wrong_family(capsys):

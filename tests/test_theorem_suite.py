@@ -1,6 +1,10 @@
 """Closed-form criteria against the generic poset engine."""
 
+from math import isqrt
+
+import numpy as np
 import pytest
+from reference_routes import interval_mismatches_by_loop
 
 from crosslat import theorem_suite
 from crosslat.crosslattice import CrossSectionLattice
@@ -17,7 +21,7 @@ from crosslat.errors import (
     SizeLimitError,
     UnsupportedGraphError,
 )
-from crosslat.poset_engine import chain_product_poset, posets_isomorphic
+from crosslat.poset_engine import FinitePoset, chain_product_poset, posets_isomorphic
 from crosslat.theorem_suite import (
     MAX_SCAN_NODES,
     SCAN_FUNCTIONS,
@@ -410,6 +414,68 @@ def test_theorem_equivalence_scan_all_agree():
     rows = theorem_equivalence_scan("path_A", 4)
     assert len(rows) == 7 * (2 + 4 + 8 + 16)
     assert all(r.agree for r in rows)
+
+
+def interval_counts(kind, n_max):
+    """Each configuration's interval mismatch count, from the scan and from
+    the reference loop."""
+    scanned = {(r.n, r.j0_mask): 0 if r.value == "ok" else int(r.value.split()[0])
+               for r in theorem_equivalence_scan(kind, n_max)
+               if r.criterion == "interval_relcomp_atomic_boolean"}
+    looped = {(n, j0): interval_mismatches_by_loop(CrossSectionLattice(family_graph(kind, n), j0))
+              for n in range(1, n_max + 1) for j0 in range(2 ** n)}
+    return scanned, looped
+
+
+def test_interval_flags_once_per_order_count_every_interval(monkeypatch):
+    families = [("path_A", 5), ("path_B", 4), ("path_C", 4)]
+    for kind, n_max in families:
+        scanned, looped = interval_counts(kind, n_max)
+        assert scanned == looped, kind
+        assert not any(scanned.values())
+
+    # an oracle wrong on every 3-element chain: each such interval must count,
+    # including those whose flags came from the memo
+    is_atomic = FinitePoset.is_atomic
+
+    def wrong_on_three_chains(poset):
+        flag = is_atomic(poset)
+        return not flag if poset.size == 3 and poset.leq.sum() == 6 else flag
+
+    monkeypatch.setattr(FinitePoset, "is_atomic", wrong_on_three_chains)
+    for kind, n_max in families:
+        scanned, looped = interval_counts(kind, n_max)
+        assert scanned == looped, kind
+        assert any(scanned.values()), kind
+
+
+def test_interval_flag_memo_holds_each_orders_own_flags(monkeypatch):
+    memos = []
+    theorem_rows = theorem_suite._theorem_rows
+
+    def capturing(lat, rows, interval_flags):
+        memos.append(interval_flags)
+        theorem_rows(lat, rows, interval_flags)
+
+    monkeypatch.setattr(theorem_suite, "_theorem_rows", capturing)
+    theorem_equivalence_scan("path_A", 4)
+    memo = memos[0]
+    assert all(m is memo for m in memos)
+    intervals = sum(int(lat.to_poset().leq.sum())
+                    for _, configs in theorem_suite._configs_by_n("theorems", "path_A", 1, 4)
+                    for lat, _, _ in configs)
+    assert len(memo) < intervals
+
+    flags_by_size: dict[int, set] = {}
+    for key, flags in memo.items():
+        k = isqrt(len(key))
+        assert k * k == len(key)
+        poset = FinitePoset(np.frombuffer(key, dtype=bool).reshape(k, k))
+        assert (poset.is_relatively_complemented(), poset.is_atomic(),
+                poset.is_boolean()) == flags
+        flags_by_size.setdefault(k, set()).add(flags)
+    # the 4-chain and B2 share a size, so the key must be more than the size
+    assert flags_by_size[4] == {(False, False, False), (True, True, True)}
 
 
 def test_supersolvable_scan_all_agree():
