@@ -59,6 +59,12 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_BREACH = 4
 
+# build and export-dot hold every row or line in memory.  export-dot is the
+# heaviest, about 3,200 bytes per element (3,184 MB peak RSS for path A 20,
+# 1,048,576 elements); covers are edges of the node-set cube, at most
+# (N/2) log2 N among N elements, so smaller lattices cost less per element.
+MAX_OUTPUT_ELEMENTS = 600_000  # under 2 GB
+
 
 def parse_graph_literal(text: str) -> CoxeterGraph:
     """Build a graph from `path A 5`, `cycle 6`, or `custom 4: 1-2,2-3`."""
@@ -199,8 +205,18 @@ def _build_lattice(args: argparse.Namespace) -> CrossSectionLattice:
     return CrossSectionLattice(g, j0)
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def _output_lattice(args: argparse.Namespace) -> CrossSectionLattice:
+    """The lattice that build or export-dot writes out, refused above
+    MAX_OUTPUT_ELEMENTS before any row or line is built."""
     lat = _build_lattice(args)
+    if len(lat) > MAX_OUTPUT_ELEMENTS:
+        raise SizeLimitError(
+            f"output capped at {MAX_OUTPUT_ELEMENTS} elements, got {len(lat)}")
+    return lat
+
+
+def cmd_build(args: argparse.Namespace) -> int:
+    lat = _output_lattice(args)
     fields = ("rank", "mask", "members")
     rows = [dict(zip(fields, (lat.rank(m), f"0x{m:x}", format_nodeset(m))))
             for m in lat.elements]
@@ -392,7 +408,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_export_dot(args: argparse.Namespace) -> int:
     if args.format not in (None, "dot"):
         raise CrossLatError(f"export-dot only writes dot, got {args.format!r}")
-    lat = _build_lattice(args)
+    lat = _output_lattice(args)
     lines = ["digraph crosslattice {", "  rankdir=BT;"]
     for i, mask in enumerate(lat.elements):
         lines.append(f'  e{i} [label="{format_nodeset(mask)}"];')

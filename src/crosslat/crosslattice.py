@@ -136,11 +136,11 @@ class CrossSectionLattice:
         if self.size > MAX_POSET_ELEMENTS:
             raise SizeLimitError(
                 f"poset view capped at {MAX_POSET_ELEMENTS} elements, got {self.size}")
-        return FinitePoset._adopt(_subset_order(self.elements), labels=self.elements,
+        return FinitePoset._adopt(_subset_order(self.elements),
                                   ranks=tuple(map(int.bit_count, self.elements)))
 
     def to_poset(self) -> FinitePoset:
-        """Index-based poset view; labels carry the element masks.
+        """The engine's view of the lattice: index i is self.elements[i].
 
         Raises SizeLimitError above MAX_POSET_ELEMENTS elements, before
         any dense array is allocated.
@@ -148,6 +148,7 @@ class CrossSectionLattice:
         return self._poset
 
     def interval(self, u: int, v: int) -> FinitePoset:
+        """[u, v] as a poset: index i is the i-th w of elements with u <= w <= v."""
         u = self._check_member(u)
         v = self._check_member(v)
         if u & ~v:

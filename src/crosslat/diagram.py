@@ -141,7 +141,7 @@ def build_path_diagram(series: str, n: int) -> CoxeterGraph:
     reporting.  n = 1 is a single node, n = 0 is rejected.
     """
     series = series.upper()
-    if series not in ("A", "B", "C"):
+    if f"path_{series}" not in PATH_KINDS:
         raise InvalidSizeError(f"unknown path series {series!r}")
     if n < 1:
         raise InvalidSizeError(f"path needs at least one node, got {n}")
@@ -201,14 +201,9 @@ def end_nodes(g: CoxeterGraph) -> int:
 
 def is_standard_path(g: CoxeterGraph) -> bool:
     """Whether the adjacency is exactly 1-2-...-n (labels in path order)."""
-    want = frozenset((i, i + 1) for i in range(1, g.n))
-    return g.edges == want
+    return g == build_path_diagram("A", g.n)
 
 
 def is_standard_cycle(g: CoxeterGraph) -> bool:
     """Whether the adjacency is exactly the cycle 1-2-...-n-1."""
-    if g.n < 3:
-        return False
-    want = set((i, i + 1) for i in range(1, g.n))
-    want.add((1, g.n))
-    return g.edges == frozenset(want)
+    return g.n >= 3 and g == build_cycle_diagram(g.n)

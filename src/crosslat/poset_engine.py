@@ -1,12 +1,11 @@
 """Finite posets with exact order-theoretic invariants.
 
 The order is stored as a dense boolean matrix leq[i, j] meaning element
-i is less-or-equal to element j.  Element identity is the row index; an
-optional labels tuple carries caller-side names such as bitmask node
-sets.  Every numeric invariant is computed exactly with integers:
-Mobius values (and so characteristic polynomial coefficients) are exact
-in int64, or refused with SizeLimitError when a row of them could leave
-it.
+i is less-or-equal to element j.  An element is its row index; callers
+keep any names for the elements themselves, in index order.  Every
+numeric invariant is computed exactly with integers: Mobius values (and
+so characteristic polynomial coefficients) are exact in int64, or
+refused with SizeLimitError when a row of them could leave it.
 """
 from __future__ import annotations
 
@@ -202,13 +201,6 @@ def _least_bounds(bounds: np.ndarray, single: np.ndarray,
     return table
 
 
-def _restricted(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """A lattice table restricted to the sublattice idx, renumbered."""
-    pos = np.full(len(table), -1, dtype=np.int32)
-    pos[idx] = np.arange(len(idx), dtype=np.int32)
-    return pos[table[np.ix_(idx, idx)]]
-
-
 @dataclass(frozen=True)
 class CharPolynomial:
     """Integer polynomial in one variable, coeffs[k] is the x^k coefficient."""
@@ -276,13 +268,14 @@ class CharPolynomial:
 class FinitePoset:
     """A finite poset over indices 0..size-1 given by a boolean leq matrix.
 
-    FinitePoset(leq, labels) copies leq and checks that it is a partial
-    order, so rank() of such a poset is always the grading that covers
-    checked.  The canonical posets, cross section lattices and intervals
-    are built by _adopt, and only a cross section lattice hands ranks in.
+    It holds its order and the facts it has checked, and no element names.
+    FinitePoset(leq) copies leq and checks that it is a partial order, so
+    rank() of such a poset is always the grading that covers checked.  The
+    canonical posets, cross section lattices and intervals are built by
+    _adopt, and only a cross section lattice hands ranks in.
     """
 
-    def __init__(self, leq, labels: Optional[Sequence[int]] = None):
+    def __init__(self, leq):
         # a copy: the caller may still write to its array
         mat = np.array(leq, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -290,12 +283,11 @@ class FinitePoset:
         if mat.shape[0] == 0:
             raise InvalidSizeError("empty poset not supported")
         # one construction path: take over the state _adopt gives the copy
-        vars(self).update(vars(FinitePoset._adopt(mat, labels)))
+        vars(self).update(vars(FinitePoset._adopt(mat)))
         self._validate()
 
     @classmethod
-    def _adopt(cls, leq: np.ndarray, labels: Optional[Sequence[int]] = None,
-               ranks: Optional[Sequence[int]] = None) -> "FinitePoset":
+    def _adopt(cls, leq: np.ndarray, ranks: Optional[Sequence[int]] = None) -> "FinitePoset":
         """A poset over leq itself, unchecked and uncopied.
 
         leq must be a freshly built nonempty square bool array that no one
@@ -311,15 +303,10 @@ class FinitePoset:
         poset.size = int(leq.shape[0])
         leq.setflags(write=False)
         poset.leq = leq
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != poset.size:
-                raise InvalidSizeError("labels length must match size")
-        poset.labels = labels
         poset._injected_ranks = tuple(map(int, ranks)) if ranks is not None else None
         poset._mobius_cache: dict[int, np.ndarray] = {}
-        # (source, idx): a lattice whose elements idx form this poset; its
-        # tables and covers are restricted only when first read
+        # (source, idx): a lattice whose elements idx form this poset, so a
+        # lattice too; covers restricts the source's covers and grading
         poset._restrict_from: Optional[tuple["FinitePoset", np.ndarray]] = None
         return poset
 
@@ -443,15 +430,11 @@ class FinitePoset:
         upper cover above it and checked, as in _least_bounds.  The meet
         table is built only when read, by _meet.
         """
-        if self._restrict_from is not None:
-            source, idx = self._restrict_from
-            join = _restricted(source._tables, idx)
-        elif self.bottom is None:
+        if self.bottom is None:
             return None
-        else:
-            join = _least_bounds(self.leq, self.covers.sum(axis=1) == 1, check=True)
-            if join is None:
-                return None
+        join = _least_bounds(self.leq, self.covers.sum(axis=1) == 1, check=True)
+        if join is None:
+            return None
         join.setflags(write=False)
         return join
 
@@ -463,11 +446,7 @@ class FinitePoset:
         join-irreducibles below it are those below both, and in a lattice
         it needs no check.  Callers make sure the poset is a lattice.
         """
-        if self._restrict_from is not None:
-            source, idx = self._restrict_from
-            meet = _restricted(source._meet, idx)
-        else:
-            meet = _least_bounds(self.leq.T, self.covers.sum(axis=0) == 1, check=False)
+        meet = _least_bounds(self.leq.T, self.covers.sum(axis=0) == 1, check=False)
         meet.setflags(write=False)
         return meet
 
@@ -779,24 +758,21 @@ class FinitePoset:
     def interval_poset(self, x: int, y: int) -> "FinitePoset":
         """The closed interval [x, y] as a poset of its own.
 
-        An interval of a lattice is a lattice whose join and meet tables
-        restrict from the parent's, so the parent's tables are handed down
-        and restricted only if the child reads them; so are its covers and
-        its grading, when the parent's grading passed the check in covers.
-        The child takes no injected ranks, so its rank() is always a
-        checked grading.  Its bottom and top are the positions of x and y
-        among its elements, which need not be first and last, since the
-        parent's index order need not extend its order.
+        Index i of the child is the i-th parent index in [x, y].  The
+        interval of a lattice is a lattice, taken without a check, whose
+        tables are built from its own order when read; being convex, it
+        restricts its parent's covers and grading when that grading passed
+        the check in covers.  It takes no injected ranks, so its rank() is
+        always a checked grading.  Its bottom and top are the positions of
+        x and y among its elements, which need not be first and last, since
+        the parent's index order need not extend its order.
         """
         x = self._check_index(x)
         y = self._check_index(y)
         if not self.leq[x, y]:
             raise EmptyIntervalError(f"{x} is not below {y}")
         idx = (self.leq[x] & self.leq[:, y]).nonzero()[0]
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in idx.tolist())
-        child = FinitePoset._adopt(self.leq[idx[:, None], idx], labels=labels)
+        child = FinitePoset._adopt(self.leq[idx[:, None], idx])
         child.bottom, child.top = idx.searchsorted((x, y)).tolist()
         if self.is_lattice():
             child._restrict_from = (self, idx)
@@ -827,13 +803,13 @@ def _popcount_sorted(masks: np.ndarray, k: int) -> list[int]:
 
 
 def boolean_lattice(k: int) -> FinitePoset:
-    """Subset lattice of a k-element set, elements ordered by (popcount, mask)."""
+    """Subset lattice of a k-element set; index i is the i-th mask by (popcount, mask)."""
     if k < 0:
         raise InvalidSizeError("rank must be nonnegative")
     if 1 << k > ISO_SIZE_CAP:
         raise SizeLimitError(f"boolean lattice above {ISO_SIZE_CAP} elements refused")
     masks = _popcount_sorted(np.arange(1 << k, dtype=np.uint32), k)
-    return FinitePoset._adopt(_subset_order(masks), labels=masks)
+    return FinitePoset._adopt(_subset_order(masks))
 
 
 # one shared instance per rank, so its covers and order are built once

@@ -2,9 +2,10 @@
 
 Each helper answers by the definition, by a plain search or by the dense
 build the engine used before, and takes the poset (or polynomial, or cross
-section lattice, or what a poset builder takes) as its first argument.  The
-engine in crosslat.poset_engine answers the same questions, where it needs
-them, through one faster route; the tests compare it against these.  The
+section lattice, or lattice table, or what a poset builder takes) as its
+first argument.  The engine in crosslat.poset_engine answers the same
+questions, where it needs them, through one faster route; the tests
+compare it against these.  The
 theorem scan helper takes a cross section lattice and stands in for a part
 of crosslat.theorem_suite.  The adjacency and admissibility helpers at the
 end take the graph first and stand in for crosslat.diagram and
@@ -68,7 +69,7 @@ def boolean_lattice_by_outer_product(k: int) -> FinitePoset:
     """boolean_lattice(k), its order from one N x N int64 temporary."""
     masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
     arr = np.asarray(masks, dtype=np.int64)
-    return FinitePoset._adopt((arr[:, None] & ~arr[None, :]) == 0, labels=masks)
+    return FinitePoset._adopt((arr[:, None] & ~arr[None, :]) == 0)
 
 
 def chain_product_by_broadcast(sizes) -> FinitePoset:
@@ -88,7 +89,7 @@ def cross_section_poset_by_block_loop(lat) -> FinitePoset:
     for rows in _row_blocks(lat.size, 5):
         leq[rows] = (arr[rows, None] & ~arr) == 0
     ranks = tuple(map(int.bit_count, lat.elements))
-    return FinitePoset._adopt(leq, labels=lat.elements, ranks=ranks)
+    return FinitePoset._adopt(leq, ranks=ranks)
 
 
 # -- Mobius rows --------------------------------------------------------------------
@@ -127,6 +128,20 @@ def mobius_by_antichain_blocks(p: FinitePoset, x: int) -> np.ndarray:
     return mu
 
 
+# -- interval tables ---------------------------------------------------------------
+
+
+def _restricted(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A lattice table restricted to the sublattice idx, renumbered.
+
+    An interval of a lattice is a sublattice, so this is its join or meet
+    table; the engine builds an interval's tables from its own order.
+    """
+    pos = np.full(len(table), -1, dtype=np.int32)
+    pos[idx] = np.arange(len(idx), dtype=np.int32)
+    return pos[table[np.ix_(idx, idx)]]
+
+
 # -- derived posets and chains -------------------------------------------------------
 
 
@@ -144,7 +159,7 @@ def poset_from_cover_relations(n: int, covers) -> FinitePoset:
 
 def dual(p: FinitePoset) -> FinitePoset:
     """The same elements with the order reversed."""
-    return FinitePoset(p.leq.T, labels=p.labels)
+    return FinitePoset(p.leq.T)
 
 
 def maximal_chains(p: FinitePoset) -> list[tuple[int, ...]]:

@@ -15,6 +15,7 @@ from crosslat.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_OUTPUT_ELEMENTS,
     graph_literal,
     main,
     parse_family_literal,
@@ -176,6 +177,42 @@ def test_analyze_over_element_budget_exits_before_allocating():
     assert proc.returncode == EXIT_CAP, proc.stderr
     assert proc.stderr == (f"error: poset view capped at {MAX_POSET_ELEMENTS} elements, "
                            "got 16384\n")
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["build", "--graph", "path A 22"], 1 << 22),
+    (["build", "--graph", "path A 22", "--format", "json"], 1 << 22),
+    (["export-dot", "--graph", "path A 20"], 1 << 20),
+])
+def test_output_over_element_budget_exits_before_building_rows(argv, size):
+    # enumeration fits in 1 GB of address space, but the rows or DOT lines
+    # of these calls would not: each must end with exit 3, not MemoryError
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crosslat.cli", *argv],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CAP, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: output capped at {MAX_OUTPUT_ELEMENTS} elements, "
+                           f"got {size}\n")
+
+
+@pytest.mark.parametrize("command", ["build", "export-dot"])
+def test_output_cap_admits_exactly_its_size(command, monkeypatch, capsys):
+    # path A 3 with {2} marked has 7 elements
+    argv = [command, "--graph", "path A 3", "--j0", "{2}"]
+    monkeypatch.setattr(cli, "MAX_OUTPUT_ELEMENTS", 7)
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(cli, "MAX_OUTPUT_ELEMENTS", 6)
+    capsys.readouterr()
+    assert main(argv) == EXIT_CAP
+    assert capsys.readouterr() == ("", "error: output capped at 6 elements, got 7\n")
 
 
 def test_build_rejects_out_of_range_node(capsys):

@@ -269,31 +269,47 @@ def test_atoms_are_free_singletons():
     assert set(lat.atoms()) == {nodes_to_mask([2]), nodes_to_mask([4]), nodes_to_mask([5])}
 
 
+def small_lattices():
+    """Every configuration of path A up to 4 nodes and the 4-cycle."""
+    for g in [build_path_diagram("A", n) for n in range(1, 5)] + [build_cycle_diagram(4)]:
+        for j0 in range(g.full_mask + 1):
+            yield CrossSectionLattice(g, j0)
+
+
 def test_poset_round_trip():
-    g = build_path_diagram("A", 4)
-    lat = CrossSectionLattice(g, nodes_to_mask([2]))
-    poset = lat.to_poset()
-    assert poset.size == len(lat)
-    assert poset.labels == lat.elements
-    assert poset.is_lattice()
-    assert poset.rank() == tuple(m.bit_count() for m in lat.elements)
-    for i, u in enumerate(lat.elements):
-        for j, v in enumerate(lat.elements):
-            assert bool(poset.leq[i, j]) == lat.leq(u, v)
+    # index i of to_poset() is lat.elements[i]: the poset keeps no names
+    for lat in small_lattices():
+        key = (lat.graph.kind, lat.graph.n, lat.j0)
+        els = lat.elements
+        poset = lat.to_poset()
+        assert poset.size == len(lat), key
+        assert poset.is_lattice(), key
+        assert poset.rank() == tuple(m.bit_count() for m in els), key
+        assert poset.leq.tolist() == [[lat.leq(u, v) for v in els] for u in els], key
+        for i, u in enumerate(els):
+            for j, v in enumerate(els):
+                assert els[poset.join(i, j)] == lat.join(u, v), key
+                assert els[poset.meet(i, j)] == lat.meet(u, v), key
 
 
 def test_interval_poset_matches_slice():
+    # index i of lat.interval(u, v) is the i-th w of lat.elements with
+    # u <= w <= v, and its order is inclusion among those sets
     g = build_path_diagram("A", 8)
     lat = CrossSectionLattice(g, nodes_to_mask([3, 6, 7]))
     u = nodes_to_mask([7, 8])
     v = nodes_to_mask([1, 2, 3, 7, 8])
-    sub = lat.interval(u, v)
-    assert sub.size == 6
-    members = sorted(sub.labels)
-    assert members == sorted(
-        w for w in lat.elements if w & ~v == 0 and u & ~w == 0)
+    assert lat.interval(u, v).size == 6
     with pytest.raises(EmptyIntervalError):
         lat.interval(v, u)
+    cases = [(lat, u, v)] + [(small, a, b) for small in small_lattices()
+                             for a in small.elements for b in small.elements if a & ~b == 0]
+    for parent, a, b in cases:
+        members = [w for w in parent.elements if a & ~w == 0 and w & ~b == 0]
+        sub = parent.interval(a, b)
+        key = (parent.graph.n, parent.j0, a, b)
+        assert sub.leq.tolist() == [[x & ~y == 0 for y in members] for x in members], key
+        assert (sub.bottom, sub.top) == (members.index(a), members.index(b)), key
 
 
 def test_maximal_chains_cover_steps():

@@ -72,6 +72,15 @@ def test_path_diagram_shape():
     assert is_standard_path(g)
     assert not is_standard_cycle(g)
     assert end_nodes(g) == nodes_to_mask([1, 4])
+    # the shape is the edge set, whatever the kind tag says
+    assert is_standard_path(build_custom_graph(4, [(3, 4), (2, 1), (2, 3)]))
+    # custom 3: 1-3,3-2 is a path, but not with its labels in path order
+    assert not is_standard_path(build_custom_graph(3, [(1, 3), (3, 2)]))
+    assert not is_standard_path(build_custom_graph(4, [(1, 2), (2, 3)]))
+    for series in ("B", "c"):
+        assert build_path_diagram(series, 4) == g
+    with pytest.raises(InvalidSizeError):
+        build_path_diagram("D", 4)
 
 
 def test_single_node_path():
@@ -88,6 +97,10 @@ def test_cycle_diagram_shape():
     assert all(g.degree(i) == 2 for i in range(1, 6))
     assert is_standard_cycle(g)
     assert not is_standard_path(g)
+    assert is_standard_cycle(build_custom_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]))
+    assert not is_standard_cycle(build_custom_graph(5, [(1, 3), (3, 2), (2, 4), (4, 5), (5, 1)]))
+    # two nodes joined once are a path, never a cycle
+    assert not is_standard_cycle(build_custom_graph(2, [(1, 2)]))
     with pytest.raises(InvalidSizeError):
         build_cycle_diagram(2)
 

@@ -35,10 +35,11 @@ from reference_routes import (
     poset_from_cover_relations,
     rank_counts,
     ranks_by_cover_loop,
+    _restricted,
 )
 
 from crosslat import poset_engine
-from crosslat.crosslattice import CrossSectionLattice, enumerate_lattice
+from crosslat.crosslattice import CrossSectionLattice
 from crosslat.diagram import build_custom_graph, build_path_diagram, parse_nodeset
 from crosslat.errors import (
     EmptyIntervalError,
@@ -121,6 +122,9 @@ def test_public_constructor_takes_no_ranks_or_validate_flag():
         FinitePoset(leq, ranks=(2, 1, 0))
     with pytest.raises(TypeError):
         FinitePoset(leq, validate=False)
+    # nor names: index i is the element, and callers keep any names
+    with pytest.raises(TypeError):
+        FinitePoset(leq, (10, 20, 30))
 
 
 def test_canonical_builders_match_the_public_constructor():
@@ -129,23 +133,17 @@ def test_canonical_builders_match_the_public_constructor():
              + [chain_product_poset(sizes) for sizes in
                 ((1,), (2, 3), (3, 2, 2), (4, 4), (2, 2, 2, 2), (5, 1, 3))])
     for p in built:
-        ref = FinitePoset(p.leq, labels=p.labels)
-        key = (p.size, p.rank_of_top())
-        assert not p.leq.flags.writeable, key
-        assert (p.leq == ref.leq).all() and p.labels == ref.labels, key
-        assert (p.bottom, p.top) == (ref.bottom, ref.top), key
-        assert p.rank() == ref.rank(), key
-    # the public constructor keeps the labels it is given, so check them here
+        assert_same_poset(p, FinitePoset(p.leq), (p.size, p.rank_of_top()))
+    # index i of boolean_lattice(k) is the i-th mask in (popcount, mask) order
     for k in range(7):
-        p = boolean_lattice(k)
-        assert p.labels == tuple(sorted(range(1 << k), key=lambda m: (m.bit_count(), m)))
-        assert all(p.leq[i, j] == ((a | b) == b)
-                   for i, a in enumerate(p.labels) for j, b in enumerate(p.labels))
+        masks = sorted(range(1 << k), key=lambda m: (m.bit_count(), m))
+        assert boolean_lattice(k).leq.tolist() == [[a & ~b == 0 for b in masks]
+                                                   for a in masks], k
 
 
 def assert_same_poset(p: FinitePoset, ref: FinitePoset, key) -> None:
     assert not p.leq.flags.writeable, key
-    assert (p.leq == ref.leq).all() and p.labels == ref.labels, key
+    assert (p.leq == ref.leq).all(), key
     assert (p.bottom, p.top) == (ref.bottom, ref.top), key
     assert p.rank() == ref.rank(), key
 
@@ -1064,8 +1062,11 @@ def test_meet_table_built_only_when_read():
     assert p._tables is not None and "_meet" not in p.__dict__
     sub = p.interval_poset(p.bottom, p.top)
     assert sub.is_lattice() and "_meet" not in sub.__dict__
-    # an interval's meet restricts the source's, built on that first read
-    assert sub.meet(0, sub.size - 1) == 0 and "_meet" in p.__dict__
+    # an interval builds its meet table from its own order on that first
+    # read, and leaves the parent's unbuilt
+    assert sub.meet(0, sub.size - 1) == 0 and "_meet" in sub.__dict__
+    assert "_meet" not in p.__dict__
+    assert (sub._meet == tables_by_bitsets(sub)[1]).all()
 
 
 @st.composite
@@ -1262,32 +1263,54 @@ def test_interval_tables_restrict_lazily():
                 sub = p.interval_poset(x, int(y))
                 assert sub.is_lattice(), (key, x, y)
                 assert "_tables" not in sub.__dict__, (key, x, y)
-                # an interval of an unread interval restricts its parent's
-                # tables, which restrict the root's
+                # an interval of an unread interval is a lattice too, and
+                # each builds its tables from its own order when read
                 inner = sub.interval_poset(sub.linext[min(1, sub.size - 1)], sub.top)
                 assert_tables_fresh(sub, (key, x, y))
                 assert_tables_fresh(inner, (key, x, y, "inner"))
 
 
+def assert_interval_tables_are_restrictions(p: FinitePoset, name) -> None:
+    """Each interval's own tables against the parent's, restricted."""
+    join, meet = p._lattice_tables()
+    for x in range(p.size):
+        for y in np.flatnonzero(p.leq[x]).tolist():
+            idx = np.flatnonzero(p.leq[x] & p.leq[:, y])
+            sub = p.interval_poset(x, y)
+            key = (name, x, y)
+            assert (sub._tables == _restricted(join, idx)).all(), key
+            assert (sub._meet == _restricted(meet, idx)).all(), key
+
+
+def test_interval_tables_equal_the_parents_restricted():
+    for key, p in family_lattices(n_max=5):
+        assert_interval_tables_are_restrictions(p, key)
+
+
+@given(st.one_of(union_closed_lattices(), random_posets().map(macneille_completion)))
+@settings(max_examples=100, deadline=None)
+def test_interval_tables_equal_the_parents_restricted_on_random_lattices(p):
+    assert_interval_tables_are_restrictions(p, "drawn")
+
+
 def relabeled(p: FinitePoset, order) -> FinitePoset:
-    """p with element order[i] renamed i; labels keep the old indices."""
+    """p with its indices permuted: index i of the result is index order[i] of p."""
     order = np.asarray(order)
-    labels = order.tolist() if p.labels is None else [p.labels[i] for i in order]
     ranks = None if p._injected_ranks is None else [p._injected_ranks[i] for i in order]
-    return FinitePoset._adopt(p.leq[np.ix_(order, order)], labels=labels, ranks=ranks)
+    return FinitePoset._adopt(p.leq[np.ix_(order, order)], ranks=ranks)
 
 
 def assert_intervals_match_public_constructor(parent: FinitePoset, name) -> None:
     for x in range(parent.size):
         for y in np.flatnonzero(parent.leq[x]).tolist():
             sub = parent.interval_poset(x, y)
+            # index i of the interval is the i-th parent index in [x, y]
             idx = np.flatnonzero(parent.leq[x] & parent.leq[:, y])
-            labels = None if parent.labels is None else [parent.labels[i] for i in idx]
-            ref = FinitePoset(parent.leq[np.ix_(idx, idx)], labels=labels)
+            ref = FinitePoset(parent.leq[np.ix_(idx, idx)])
             key = (name, x, y)
             assert not sub.leq.flags.writeable, key
             assert (sub.leq == ref.leq).all(), key
-            assert (sub.bottom, sub.top, sub.labels) == (ref.bottom, ref.top, ref.labels), key
+            assert (sub.bottom, sub.top) == (ref.bottom, ref.top), key
             try:
                 expected = ref.rank()
             except GradednessError:
@@ -1395,8 +1418,8 @@ def test_boolean_intervals_are_certified_without_search(monkeypatch):
     # a Boolean interval of a cross section lattice lists its elements in
     # boolean_lattice's order, so equal order matrices decide it
     for k in range(1, 7):
-        whole = enumerate_lattice(build_path_diagram("A", k), 0)
-        assert boolean_lattice(k).labels == tuple(whole)
+        whole = CrossSectionLattice(build_path_diagram("A", k), 0).to_poset()
+        assert (boolean_lattice(k).leq == whole.leq).all()
     families = ((("path_A", "path_B", "path_C"), 4), (("cycle",), 5))
     boolean = [key for kinds, n_max in families
                for key, sub in every_interval(kinds, n_max)

@@ -1,9 +1,11 @@
-"""Project-level checks: the oracle's import boundary, unreached code and the README example."""
+"""Project-level checks: the oracle's import boundary, unreached code and the README examples."""
 
 import ast
+import shlex
 from pathlib import Path
 
 import crosslat
+from crosslat import cli
 
 PACKAGE = Path(crosslat.__file__).parent
 TESTS = Path(__file__).parent
@@ -85,7 +87,7 @@ def test_only_cross_section_lattices_hand_in_ranks():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "_adopt"
-                    and (len(node.args) > 2
+                    and (len(node.args) > 1
                          or any(kw.arg in ("ranks", None) for kw in node.keywords))):
                 callers.append(path.name)
     assert callers == ["crosslattice.py"]
@@ -113,3 +115,21 @@ def test_readme_library_example_gives_its_commented_values():
             assert comment.startswith(value), (comment, value)
             checked.append(value)
     assert checked == ["x^5 - 2x^4 + x^3", "(3, 2)"]
+
+
+def cli_examples() -> list[str]:
+    """The crosslat command lines of the fenced block of the README's CLI section."""
+    text = README.read_text()
+    section = text[text.index("\n## CLI\n"):]
+    start = section.index("```\n") + len("```\n")
+    block = section[start:section.index("```", start)]
+    return [line for line in block.splitlines() if line.startswith("crosslat ")]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = cli_examples()
+    assert [shlex.split(line)[1] for line in lines] == ["build", "analyze", "scan", "export-dot"]
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == cli.EXIT_OK, (line, capsys.readouterr().err)
+    assert (tmp_path / "hasse.dot").read_text().startswith("digraph crosslattice {\n")
