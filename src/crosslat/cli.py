@@ -20,16 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from .crosslattice import CrossSectionLattice
-from .diagram import (
-    CYCLE_KIND,
-    PATH_KINDS,
-    CoxeterGraph,
-    build_custom_graph,
-    build_cycle_diagram,
-    build_path_diagram,
-    format_nodeset,
-    parse_nodeset,
-)
+from .diagram import CoxeterGraph, build_custom_graph, format_nodeset, parse_nodeset
 from .errors import (
     CrossLatError,
     InvalidSizeError,
@@ -39,6 +30,7 @@ from .errors import (
 )
 from .flags import MAX_DEGREE, is_flag_symmetric
 from .theorem_suite import (
+    FAMILIES,
     HYPOTHESIS_NOTES,
     SCAN_FUNCTIONS,
     SCAN_RULES,
@@ -47,6 +39,8 @@ from .theorem_suite import (
     combinatorially_smooth_typeA,
     construct_m_chain,
     distributivity_criterion,
+    family_graph,
+    family_literal,
     stanley_factorization,
     supersolvability_criterion,
 )
@@ -67,23 +61,10 @@ MAX_OUTPUT_ELEMENTS = 600_000  # under 2 GB
 
 
 def parse_graph_literal(text: str) -> CoxeterGraph:
-    """Build a graph from `path A 5`, `cycle 6`, or `custom 4: 1-2,2-3`."""
-    words = text.strip().split(None, 2)
-    if not words:
-        raise CrossLatError("empty graph spec")
-    head = words[0].lower()
-    if head == "path":
-        if len(words) != 3:
-            raise CrossLatError(f"path spec needs a series and a size: {text!r}")
-        series = words[1].upper()
-        if f"path_{series}" not in PATH_KINDS:
-            raise CrossLatError(f"unknown path series {words[1]!r}")
-        return build_path_diagram(series, _parse_int(words[2]))
-    if head == "cycle":
-        if len(words) != 2:
-            raise CrossLatError(f"cycle spec needs a size: {text!r}")
-        return build_cycle_diagram(_parse_int(words[1]))
-    if head == "custom":
+    """Build a graph from a family literal and a size, as `path A 5` or
+    `cycle 6`, or from `custom 4: 1-2,2-3`."""
+    words = text.split()
+    if words and words[0].lower() == "custom":
         rest = text.strip()[len("custom"):].strip()
         if ":" not in rest:
             raise CrossLatError(f"custom spec needs `custom N: a-b,...`: {text!r}")
@@ -99,27 +80,24 @@ def parse_graph_literal(text: str) -> CoxeterGraph:
                 a, b = item.split("-", 1)
                 edges.append((_parse_int(a.strip()), _parse_int(b.strip())))
         return build_custom_graph(n, edges)
-    raise CrossLatError(f"unknown graph kind {words[0]!r}")
+    if len(words) < 2:
+        raise CrossLatError(f"graph spec needs a family and a size: {text!r}")
+    return family_graph(parse_family_literal(" ".join(words[:-1])), _parse_int(words[-1]))
 
 
 def parse_family_literal(text: str) -> str:
     """Family name for scans: `path A` -> path_A, `cycle` -> cycle."""
-    words = text.strip().split()
-    if len(words) == 2 and words[0].lower() == "path":
-        kind = f"path_{words[1].upper()}"
-        if kind not in PATH_KINDS:
-            raise CrossLatError(f"unknown path series {words[1]!r}")
-        return kind
-    if len(words) == 1 and words[0].lower() == "cycle":
-        return CYCLE_KIND
-    raise CrossLatError(f"unknown graph family {text!r}")
+    spelling = " ".join(text.split()).lower()
+    for kind in FAMILIES:
+        if family_literal(kind).lower() == spelling:
+            return kind
+    names = ", ".join(map(family_literal, FAMILIES))
+    raise CrossLatError(f"unknown graph family {text!r}, expected one of {names}")
 
 
 def graph_literal(g: CoxeterGraph) -> str:
-    if g.kind in PATH_KINDS:
-        return f"path {g.kind[-1]} {g.n}"
-    if g.kind == CYCLE_KIND:
-        return f"cycle {g.n}"
+    if g.kind in FAMILIES:
+        return f"{family_literal(g.kind)} {g.n}"
     edge_text = ",".join(f"{a}-{b}" for a, b in sorted(g.edges))
     return f"custom {g.n}: {edge_text}"
 
@@ -176,15 +154,12 @@ def _emit(out_path: Optional[str], data: str, summary: str) -> None:
         sys.stderr.write(summary + "\n")
 
 
-def _check_table_format(command: str, fmt: str) -> None:
-    """Refuse a format that _table_text cannot write, as a usage error."""
-    if fmt not in ("json", "text", "csv"):
-        raise CrossLatError(f"{command} does not support format {fmt!r}")
+# The formats _table_text writes, the default first
+TABLE_FORMATS = ("text", "json", "csv")
 
 
-def _table_text(command: str, fmt: str, fields: Sequence[str], rows: list[dict]) -> str:
+def _table_text(fmt: str, fields: Sequence[str], rows: list[dict]) -> str:
     """Rows as tab-separated text, csv with a header line, or indented json."""
-    _check_table_format(command, fmt)
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
     cells = ([_scalar_text(row[f]) for f in fields] for row in rows)
@@ -220,7 +195,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     fields = ("rank", "mask", "members")
     rows = [dict(zip(fields, (lat.rank(m), f"0x{m:x}", format_nodeset(m))))
             for m in lat.elements]
-    body = _table_text("build", args.format or "text", fields, rows)
+    body = _table_text(args.format, fields, rows)
     _emit(args.out, body, f"{len(rows)} elements")
     return EXIT_OK
 
@@ -342,15 +317,12 @@ def _scalar_text(value) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     lat = _build_lattice(args)
     report, breach = _analyze_report(lat)
-    fmt = args.format or "text"
-    if fmt == "json":
+    if args.format == "json":
         body = json.dumps(report, indent=2) + "\n"
-    elif fmt == "text":
+    else:
         lines: list[str] = []
         _flatten("", report, lines)
         body = "".join(line + "\n" for line in lines)
-    else:
-        raise CrossLatError(f"analyze does not support format {fmt!r}")
     _emit(args.out, body, "breach detected" if breach else "ok")
     return EXIT_BREACH if breach else EXIT_OK
 
@@ -374,8 +346,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         chunks = rule.n_range(kind, args.n_max)
     except InvalidSizeError:
         raise CrossLatError(f"--n-max must be at least {rule.n_min}") from None
-    fmt = args.format or "text"
-    _check_table_format("scan", fmt)
     names, kinds = [args.scan_name] * len(chunks), [kind] * len(chunks)
     if jobs > 1:
         # imported here: it pulls in multiprocessing, which every other
@@ -390,7 +360,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     dicts = [r.to_row() for r in rows]
     fields = [f.name for f in dataclasses.fields(CriterionReport)]
-    body = _table_text("scan", fmt, fields, dicts)
+    body = _table_text(args.format, fields, dicts)
 
     agree = sum(1 for d in dicts if d["agree"])
     flagged = sum(1 for d in dicts if d["note"] in HYPOTHESIS_NOTES)
@@ -406,8 +376,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    if args.format not in (None, "dot"):
-        raise CrossLatError(f"export-dot only writes dot, got {args.format!r}")
     lat = _output_lattice(args)
     lines = ["digraph crosslattice {", "  rankdir=BT;"]
     for i, mask in enumerate(lat.elements):
@@ -425,7 +393,10 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, *, family: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, func, formats: tuple[str, ...], *,
+                family: bool) -> None:
+    """The options every command takes.  formats are the values its
+    --format accepts, the default first; main checks them before func."""
     if family:
         parser.add_argument("--family", help='graph family, e.g. "path A" or "cycle"')
         parser.add_argument("--n-max", dest="n_max", type=int, help="largest node count")
@@ -433,9 +404,11 @@ def _add_common(parser: argparse.ArgumentParser, *, family: bool) -> None:
     else:
         parser.add_argument("--graph", help='graph spec, e.g. "path A 5"')
         parser.add_argument("--j0", help='marked node set, e.g. "{1,2,5}"')
-    parser.add_argument("--format", choices=["json", "csv", "dot", "text"])
+    parser.add_argument("--format", help=f"output format: {', '.join(formats)}; "
+                                         f"default {formats[0]}")
     parser.add_argument("--out", help="write output to a file instead of stdout")
     parser.add_argument("--config", help="key=value defaults file")
+    parser.set_defaults(func=func, formats=formats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,21 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="list the lattice elements")
-    _add_common(p_build, family=False)
-    p_build.set_defaults(func=cmd_build)
+    _add_common(p_build, cmd_build, TABLE_FORMATS, family=False)
 
     p_analyze = sub.add_parser("analyze", help="run every criterion on one configuration")
-    _add_common(p_analyze, family=False)
-    p_analyze.set_defaults(func=cmd_analyze)
+    _add_common(p_analyze, cmd_analyze, ("text", "json"), family=False)
 
     p_scan = sub.add_parser("scan", help="sweep a family against brute-force oracles")
     p_scan.add_argument("scan_name", choices=sorted(SCAN_FUNCTIONS))
-    _add_common(p_scan, family=True)
-    p_scan.set_defaults(func=cmd_scan)
+    _add_common(p_scan, cmd_scan, TABLE_FORMATS, family=True)
 
     p_dot = sub.add_parser("export-dot", help="write the Hasse diagram as DOT")
-    _add_common(p_dot, family=False)
-    p_dot.set_defaults(func=cmd_export_dot)
+    _add_common(p_dot, cmd_export_dot, ("dot",), family=False)
 
     return parser
 
@@ -469,6 +438,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_defaults(args)
+        # from the flag or the config file, refused before any work
+        if args.format is None:
+            args.format = args.formats[0]
+        elif args.format not in args.formats:
+            raise CrossLatError(f"{args.command} does not support format {args.format!r}")
         return args.func(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,12 +109,11 @@ def _covers_of_grading(leq: np.ndarray, r: np.ndarray) -> Optional[np.ndarray]:
     return out
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product computed through float32 for speed."""
+def _bool_square(a: np.ndarray) -> np.ndarray:
+    """Boolean matrix square a @ a, computed through float32 for speed."""
     # exact: each entry counts at most n < 2**24 products of 0 and 1
     fa = a.astype(np.float32)
-    prod = fa @ (fa if b is a else b.astype(np.float32))
-    return prod > 0.5
+    return fa @ fa > 0.5
 
 
 def _first_key_bits(n: int) -> int:
@@ -318,7 +317,7 @@ class FinitePoset:
             raise PreconditionError("relation is not reflexive")
         if (L & L.T).sum() != self.size:
             raise PreconditionError("relation is not antisymmetric")
-        if (_bool_matmul(L, L) & ~L).any():
+        if (_bool_square(L) & ~L).any():
             raise PreconditionError("relation is not transitive")
 
     def __len__(self) -> int:
@@ -348,7 +347,7 @@ class FinitePoset:
         self._checked_grading, out = self._graded_covers()
         if out is None:
             strict = self.leq & ~np.eye(self.size, dtype=bool)
-            out = strict & ~_bool_matmul(strict, strict)
+            out = strict & ~_bool_square(strict)
         out.setflags(write=False)
         return out
 
@@ -716,7 +715,7 @@ class FinitePoset:
             return ()
         below = self.leq[np.ix_(ji, ji)]
         comparable = below | below.T
-        if (_bool_matmul(comparable, comparable) & ~comparable).any():
+        if (_bool_square(comparable) & ~comparable).any():
             return None
         _, parts = np.unique(comparable, axis=0, return_counts=True)
         return tuple(sorted((int(c) for c in parts), reverse=True))

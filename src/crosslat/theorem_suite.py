@@ -78,6 +78,15 @@ def _mismatches(count: int) -> str:
     return f"{count} mismatches" if count else "ok"
 
 
+# The graph families that scans sweep and graph literals name
+FAMILIES = (*PATH_KINDS, CYCLE_KIND)
+
+
+def family_literal(kind: str) -> str:
+    """A family's command-line spelling: path_A -> "path A", cycle -> "cycle"."""
+    return kind.replace("_", " ")
+
+
 def family_graph(kind: str, n: int) -> CoxeterGraph:
     if kind in PATH_KINDS:
         return build_path_diagram(kind[-1], n)
@@ -360,8 +369,8 @@ class ScanRule:
     def n_range(self, kind: str, n_max: int, n_min: int = 1) -> range:
         """The node counts a scan of ``kind`` up to ``n_max`` runs over."""
         if kind not in self.families:
-            names = ", ".join(f.replace("_", " ") for f in self.families)
-            raise UnsupportedGraphError(f"scan runs on {names}, not {kind.replace('_', ' ')}")
+            names = ", ".join(map(family_literal, self.families))
+            raise UnsupportedGraphError(f"scan runs on {names}, not {family_literal(kind)}")
         n_min = max(n_min, self.n_min)
         if n_max > MAX_SCAN_NODES:
             raise SizeLimitError(f"scans are capped at {MAX_SCAN_NODES} nodes")
@@ -384,41 +393,40 @@ def _automorphisms(kind: str, n: int) -> list[tuple[int, ...]]:
 
 
 def _configs_by_n(scan: str, kind: str, n_min: int, n_max: int
-                  ) -> Iterator[tuple[CoxeterGraph, Iterator[tuple]]]:
-    """Each n's graph and configurations, in increasing n and j0.
-
-    Each configuration comes with the least j0 of its orbit under
-    _automorphisms and a table of the image of every node set under a
-    relabeling that maps the configuration's j0 there.
-    """
+                  ) -> Iterator[tuple[CoxeterGraph, Iterator[CrossSectionLattice]]]:
+    """Each n's graph and its lattices, in increasing n and j0."""
     rule = SCAN_RULES[scan]
     for n in rule.n_range(kind, n_max, n_min):
         g = family_graph(kind, n)
-        perms = _automorphisms(kind, n)
-        masks = np.arange(g.full_mask + 1)
-        tables = np.zeros((len(perms), len(masks)), dtype=masks.dtype)
-        for table, perm in zip(tables, perms):
-            for i, image in enumerate(perm):
-                table |= ((masks >> i) & 1) << image
-        best = tables.argmin(axis=0).tolist()
         j0s = range(g.full_mask) if rule.skips_degenerate else range(g.full_mask + 1)
-        yield g, ((CrossSectionLattice(g, j0), int(tables[best[j0], j0]), tables[best[j0]])
-                  for j0 in j0s)
+        yield g, (CrossSectionLattice(g, j0) for j0 in j0s)
 
 
 def _by_orbit(scan: str, kind: str, n_min: int, n_max: int, oracle
               ) -> Iterator[tuple[CrossSectionLattice, object]]:
     """Each configuration with oracle(its poset), run once per orbit.
 
-    The orbit's least j0 comes first and runs the oracle.  Every other
-    configuration reuses that value once its relabeled elements are the
-    representative's: the relabeling is then an isomorphism of the two
+    The orbits are those of j0 under _automorphisms: per n, one table per
+    relabeling holds the image of every node set, and a configuration's
+    representative is the least image of its j0.  The representative
+    comes first and runs the oracle.  Every other configuration reuses
+    that value once its elements, relabeled onto the representative, are
+    the representative's: the relabeling is then an isomorphism of the two
     inclusion orders, whether or not it keeps the graph's edges, so the
     value is the configuration's own.  Otherwise it raises RuntimeError.
     """
-    for _, configs in _configs_by_n(scan, kind, n_min, n_max):
+    for g, lattices in _configs_by_n(scan, kind, n_min, n_max):
+        perms = _automorphisms(kind, g.n)
+        masks = np.arange(g.full_mask + 1)
+        tables = np.zeros((len(perms), len(masks)), dtype=masks.dtype)
+        for table, perm in zip(tables, perms):
+            for i, image in enumerate(perm):
+                table |= ((masks >> i) & 1) << image
+        best = tables.argmin(axis=0).tolist()
         known: dict[int, tuple[np.ndarray, object]] = {}
-        for lat, rep, relabel in configs:
+        for lat in lattices:
+            relabel = tables[best[lat.j0]]
+            rep = int(relabel[lat.j0])
             elements = np.sort(relabel[np.array(lat.elements)])
             if rep == lat.j0:
                 known[rep] = (elements, oracle(lat.to_poset()))
@@ -432,8 +440,8 @@ def theorem_equivalence_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crit
     """Every closed-form criterion against its engine oracle, all j0."""
     rows: list[CriterionReport] = []
     interval_flags: dict[bytes, tuple[bool, bool, bool]] = {}
-    for _, configs in _configs_by_n("theorems", kind, n_min, n_max):
-        for lat, _, _ in configs:
+    for _, lattices in _configs_by_n("theorems", kind, n_min, n_max):
+        for lat in lattices:
             _theorem_rows(lat, rows, interval_flags)
     return rows
 
@@ -526,8 +534,8 @@ def conjecture_charpoly_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crit
 def conjecture_chains_scan(kind: str, n_max: int, n_min: int = 1) -> list[CriterionReport]:
     """Chain-product prediction on every distributive nondegenerate config."""
     return [conjecture_chains_check(lat)
-            for _, configs in _configs_by_n("chains", kind, n_min, n_max)
-            for lat, _, _ in configs if distributivity_criterion(lat)]
+            for _, lattices in _configs_by_n("chains", kind, n_min, n_max)
+            for lat in lattices if distributivity_criterion(lat)]
 
 
 def partition_count(n: int) -> int:
@@ -546,13 +554,13 @@ def distributive_count_scan(kind: str, n_max: int, n_min: int = 1) -> list[Crite
     """Distinct chain-product lattices per n: factorization types against
     a brute isomorphism classification."""
     rows = []
-    for g, configs in _configs_by_n("distributive-count", kind, n_min, n_max):
+    for g, lattices in _configs_by_n("distributive-count", kind, n_min, n_max):
         types = set()
         # one representative poset per isomorphism class, the chain
         # products apart from the rest
         products: list = []
         others: list = []
-        for lat, _, _ in configs:
+        for lat in lattices:
             if not distributivity_criterion(lat):
                 continue
             poset = lat.to_poset()

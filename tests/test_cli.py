@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -39,7 +40,8 @@ def test_parse_graph_literal_forms():
 
 def test_parse_graph_literal_errors():
     for bad in ["", "path A", "path Z 3", "cycle", "custom 3 1-2",
-                "custom 3: 1+2", "tree 5", "path A five"]:
+                "custom 3: 1+2", "tree 5", "path A five", "path D 3",
+                "path A 5 6", "cycle 6 7"]:
         with pytest.raises(CrossLatError):
             parse_graph_literal(bad)
 
@@ -53,7 +55,8 @@ def test_parse_family_literal():
 
 
 def test_graph_literal_round_trip():
-    for text in ["path A 5", "cycle 6", "custom 4: 1-2,2-3"]:
+    for text in ["path A 5", "cycle 6", "custom 4: 1-2,2-3", "path B 4", "path C 2",
+                 "cycle 3"]:
         assert graph_literal(parse_graph_literal(text)) == text
 
 
@@ -158,6 +161,56 @@ def test_build_rejects_dot_format(capsys):
 
 def test_build_single_size_cap(capsys):
     assert main(["build", "--graph", "path A 25"]) == EXIT_CAP
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work ran")
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("analyze", "csv"), ("analyze", "dot"), ("build", "dot"), ("export-dot", "json"),
+])
+def test_unsupported_format_exits_before_any_lattice(command, fmt, tmp_path,
+                                                     monkeypatch, capsys):
+    # path A 13 with nothing marked is an 8,192-element analysis
+    argv = [command, "--graph", "path A 13", "--j0", "{}"]
+    monkeypatch.setattr(cli, "CrossSectionLattice", refuse_work)
+    monkeypatch.setattr(cli, "_analyze_report", refuse_work)
+    with pytest.raises(AssertionError, match="work ran"):
+        main(argv)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"format = {fmt}\n")
+    for source in (["--format", fmt], ["--config", str(conf)]):
+        assert main(argv + source) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: {command} does not support format '{fmt}'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--graph", "path A 25"],
+    ["scan", "charpoly", "--family", "path A", "--n-max", "13"],
+])
+def test_usage_error_wins_over_the_size_cap(argv, capsys):
+    assert main(argv) == EXIT_CAP
+    capsys.readouterr()
+    assert main(argv + ["--format", "dot"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {argv[0]} does not support format 'dot'\n"
+
+
+@pytest.mark.parametrize("argv, formats", [
+    (["build"], ["text", "json", "csv"]),
+    (["analyze"], ["text", "json"]),
+    (["scan", "charpoly"], ["text", "json", "csv"]),
+    (["export-dot"], ["dot"]),
+])
+def test_help_names_exactly_the_commands_formats(argv, formats, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == EXIT_OK
+    text = capsys.readouterr().out
+    entry = text.split("\n  --format FORMAT")[1].split("\n  --out")[0]
+    # the formats in order, then the default
+    assert re.findall(r"\b(?:text|json|csv|dot)\b", entry) == formats + formats[:1]
 
 
 def test_analyze_over_element_budget_exits_before_allocating():

@@ -1001,7 +1001,7 @@ def test_interval_covers_restrict_the_parents(monkeypatch):
     for _, p in roots:
         assert p.is_lattice()
     monkeypatch.setattr(poset_engine, "_covers_of_grading", refuse)
-    monkeypatch.setattr(poset_engine, "_bool_matmul", refuse)
+    monkeypatch.setattr(poset_engine, "_bool_square", refuse)
     for key, p in roots:
         for x in range(p.size):
             for y in np.flatnonzero(p.leq[x]).tolist():
@@ -1016,7 +1016,7 @@ def test_graded_posets_take_no_product(monkeypatch):
     graded = [cycle, boolean_lattice(4), chain_product_poset((3, 2)), chain_poset(5)]
     expected = [covers_by_int_matmul(p) for p in graded]
     n5 = pentagon()
-    monkeypatch.setattr(poset_engine, "_bool_matmul", refuse)
+    monkeypatch.setattr(poset_engine, "_bool_square", refuse)
     for p, cov in zip(graded, expected):
         assert (p.covers == cov).all()
     # the pentagon has no grading, so only the product finds its covers

@@ -79,6 +79,24 @@ def test_every_public_function_is_exported_or_used():
     assert unreached == []
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports names to re-export them, so it is left out
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [(path.name, name) for name in sorted(bound - read)]
+    assert unread == []
+
+
 def test_only_cross_section_lattices_hand_in_ranks():
     # rank() reads the ranks _adopt is given unchecked, so only the
     # popcounts of a cross section lattice may reach it that way

@@ -462,8 +462,8 @@ def test_interval_flag_memo_holds_each_orders_own_flags(monkeypatch):
     memo = memos[0]
     assert all(m is memo for m in memos)
     intervals = sum(int(lat.to_poset().leq.sum())
-                    for _, configs in theorem_suite._configs_by_n("theorems", "path_A", 1, 4)
-                    for lat, _, _ in configs)
+                    for _, lattices in theorem_suite._configs_by_n("theorems", "path_A", 1, 4)
+                    for lat in lattices)
     assert len(memo) < intervals
 
     flags_by_size: dict[int, set] = {}
