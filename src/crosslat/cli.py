@@ -140,7 +140,19 @@ def _apply_config_defaults(args: argparse.Namespace) -> None:
     for key, value in _read_config_file(args.config).items():
         attr = key.replace("-", "_")
         if getattr(args, attr, None) is None:
-            setattr(args, attr, _parse_int(value) if attr in ("n_max", "jobs") else value)
+            setattr(args, attr, value)
+
+
+def _parse_int_options(args: argparse.Namespace) -> None:
+    """--n-max and --jobs as ints, from the flag or the config file alike."""
+    for attr in ("n_max", "jobs"):
+        value = getattr(args, attr, None)
+        if value is not None:
+            try:
+                setattr(args, attr, int(value))
+            except ValueError:
+                option = "--" + attr.replace("_", "-")
+                raise CrossLatError(f"{option} expects an integer, got {value!r}") from None
 
 
 def _emit(out_path: Optional[str], data: str, summary: str) -> None:
@@ -399,8 +411,8 @@ def _add_common(parser: argparse.ArgumentParser, func, formats: tuple[str, ...],
     --format accepts, the default first; main checks them before func."""
     if family:
         parser.add_argument("--family", help='graph family, e.g. "path A" or "cycle"')
-        parser.add_argument("--n-max", dest="n_max", type=int, help="largest node count")
-        parser.add_argument("--jobs", type=int, help="worker processes")
+        parser.add_argument("--n-max", dest="n_max", help="largest node count")
+        parser.add_argument("--jobs", help="worker processes")
     else:
         parser.add_argument("--graph", help='graph spec, e.g. "path A 5"')
         parser.add_argument("--j0", help='marked node set, e.g. "{1,2,5}"')
@@ -438,6 +450,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_defaults(args)
+        _parse_int_options(args)
         # from the flag or the config file, refused before any work
         if args.format is None:
             args.format = args.formats[0]

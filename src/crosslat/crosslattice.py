@@ -83,15 +83,45 @@ class CrossSectionLattice:
         """True when j0 is the whole node set and only the empty set remains."""
         return self.j0 == self.graph.full_mask and self.graph.n > 0
 
-    def index(self, mask: int) -> int:
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise MembershipError(f"{hex(mask)} is not an element") from None
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The element masks in increasing order, and the index of each."""
+        masks = np.array(self.elements, dtype=np.uint32)
+        order = np.argsort(masks)
+        return masks[order], order
+
+    def index(self, mask):
+        """The index of mask in elements, elementwise on a uint array of masks.
+
+        Raises MembershipError when a mask, or any entry, is no element.
+        """
+        if not isinstance(mask, np.ndarray):
+            try:
+                return self._index[mask]
+            except KeyError:
+                raise MembershipError(f"{hex(mask)} is not an element") from None
+        if mask.dtype.kind != "u":
+            raise MembershipError(f"mask array of dtype {mask.dtype} is not unsigned")
+        masks, order = self._sorted
+        pos = np.searchsorted(masks, mask).clip(max=len(masks) - 1)
+        found = masks[pos] == mask
+        if not found.all():
+            raise MembershipError(f"{hex(int(mask[~found][0]))} is not an element")
+        return order[pos]
 
     def _check_member(self, mask: int) -> int:
+        """mask as an int, when it is one element."""
+        if isinstance(mask, np.ndarray):
+            raise MembershipError("expected one mask, got an array")
         self.index(mask)
         return int(mask)
+
+    def _check_members(self, masks):
+        """_check_member(masks), or a uint array of masks that are all elements."""
+        if isinstance(masks, np.ndarray):
+            self.index(masks)
+            return masks
+        return self._check_member(masks)
 
     def rank(self, mask: int) -> int:
         return self._check_member(mask).bit_count()
@@ -101,16 +131,19 @@ class CrossSectionLattice:
         v = self._check_member(v)
         return u & ~v == 0
 
-    def join(self, u: int, v: int) -> int:
-        u = self._check_member(u)
-        v = self._check_member(v)
-        return u | v
+    def join(self, u, v):
+        """The union of u and v, elementwise.
 
-    def meet(self, u: int, v: int) -> int:
-        """Union of the components of the intersection that escape j0."""
-        u = self._check_member(u)
-        v = self._check_member(v)
-        return _escaping(self.graph, self.j0, u & v)
+        u and v are masks, and the join an int, or uint arrays of masks that
+        broadcast together, and the joins an array of their shape.  Every
+        mask must be an element.
+        """
+        return self._check_members(u) | self._check_members(v)
+
+    def meet(self, u, v):
+        """Union of the components of the intersection that escape j0,
+        elementwise on masks or arrays as join."""
+        return _escaping(self.graph, self.j0, self._check_members(u) & self._check_members(v))
 
     def covers(self, u: int) -> list[int]:
         """Upper covers of u, which are exactly its one-node extensions.

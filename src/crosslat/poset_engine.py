@@ -200,6 +200,12 @@ def _least_bounds(bounds: np.ndarray, single: np.ndarray,
     return table
 
 
+def _table_entries(table: np.ndarray, i, j):
+    """table[i, j]: an int for integer i and j, else an array."""
+    out = table[i, j]
+    return out if isinstance(out, np.ndarray) else int(out)
+
+
 @dataclass(frozen=True)
 class CharPolynomial:
     """Integer polynomial in one variable, coeffs[k] is the x^k coefficient."""
@@ -323,10 +329,27 @@ class FinitePoset:
     def __len__(self) -> int:
         return self.size
 
-    def _check_index(self, i: int) -> int:
+    def _check_index(self, i) -> int:
+        """i as an int, when it is a Python or numpy integer in 0..size-1.
+
+        Anything else raises MembershipError, so a float is never truncated
+        and a bool, whose type is not int, never read as an index.
+        """
+        if type(i) is not int and not isinstance(i, np.integer):
+            raise MembershipError(f"index {i!r} is not an integer")
         if not (0 <= i < self.size):
             raise MembershipError(f"index {i} outside poset of size {self.size}")
         return int(i)
+
+    def _check_indices(self, i):
+        """_check_index(i), or an integer array i with every entry in range."""
+        if not isinstance(i, np.ndarray):
+            return self._check_index(i)
+        if i.dtype.kind not in "iu":
+            raise MembershipError(f"index array of dtype {i.dtype} is not an integer array")
+        if i.size and not (i.min() >= 0 and i.max() < self.size):
+            raise MembershipError(f"index array leaves the poset of size {self.size}")
+        return i
 
     # -- basic structure -------------------------------------------------
 
@@ -461,13 +484,19 @@ class FinitePoset:
         self._require_lattice()
         return self._tables, self._meet
 
-    def join(self, i: int, j: int) -> int:
-        self._require_lattice()
-        return int(self._tables[self._check_index(i), self._check_index(j)])
+    def join(self, i, j):
+        """The join of i and j, elementwise.
 
-    def meet(self, i: int, j: int) -> int:
+        i and j are integers, and the join an int, or integer arrays that
+        broadcast together, and the joins an array of their shape.
+        """
         self._require_lattice()
-        return int(self._meet[self._check_index(i), self._check_index(j)])
+        return _table_entries(self._tables, self._check_indices(i), self._check_indices(j))
+
+    def meet(self, i, j):
+        """The meet of i and j, elementwise on integers or arrays as join."""
+        self._require_lattice()
+        return _table_entries(self._meet, self._check_indices(i), self._check_indices(j))
 
     # -- Mobius function and characteristic polynomial --------------------
 

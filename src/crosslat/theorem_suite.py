@@ -98,29 +98,45 @@ def family_graph(kind: str, n: int) -> CoxeterGraph:
 # -- element and interval criteria -------------------------------------------
 
 
-def relcomp_criterion(lat: CrossSectionLattice, u: int, v: int) -> bool:
-    """Interval [u, v] is relatively complemented iff no node of
-    j0 & (v - u) is isolated from u."""
+def relcomp_criterion(lat: CrossSectionLattice, u, v):
+    """Interval [u, v] is relatively complemented iff every node of
+    j0 & (v - u) has a neighbour in u.
+
+    u and v are masks, and the answer a bool, or uint arrays of masks that
+    broadcast together, and the answer a bool array: the one bit test
+    v & ~u & j0 & ~adjacent_to_set(u) == 0 per pair.  Raises
+    EmptyIntervalError when some u is not below its v.
+    """
     lat.index(u)
     lat.index(v)
-    if u & ~v:
-        raise EmptyIntervalError(f"{format_nodeset(u)} is not below {format_nodeset(v)}")
-    g = lat.graph
-    for a in iter_nodes(v & ~u & lat.j0):
-        if not g.neighbors(a) & u:
-            return False
-    return True
+    outside = (u | v) != v
+    if np.any(outside):
+        u, v = np.broadcast_arrays(u, v)
+        k = np.flatnonzero(outside)[0]
+        raise EmptyIntervalError(f"{format_nodeset(int(u.flat[k]))} is not below "
+                                 f"{format_nodeset(int(v.flat[k]))}")
+    return _relcomp_bits(lat, u, v)
 
 
-def mobius_formula(lat: CrossSectionLattice, u: int, v: int) -> int:
-    """Mobius value: a sign when [u, v] is relatively complemented, else 0."""
+def _relcomp_bits(lat: CrossSectionLattice, u, v):
+    """relcomp_criterion's bit test, unchecked.  (u | v) ^ u is v & ~u
+    without ~u, which for an int u is negative and would not mix with a
+    uint array v."""
+    need = ((u | v) ^ u) & lat.j0
+    return need & lat.graph.adjacent_to_set(u) == need
+
+
+def mobius_formula(lat: CrossSectionLattice, u, v):
+    """Mobius value: a sign when [u, v] is relatively complemented, else 0.
+
+    Elementwise on masks, giving an int, or on uint arrays of masks that
+    broadcast together, giving an array; a pair with u not below v gives 0.
+    """
     lat.index(u)
     lat.index(v)
-    if u & ~v:
-        return 0
-    if not relcomp_criterion(lat, u, v):
-        return 0
-    return -1 if (v & ~u).bit_count() % 2 else 1
+    sign = np.where(np.bitwise_count((u | v) ^ u) & 1, -1, 1)
+    out = np.where(((u | v) == v) & _relcomp_bits(lat, u, v), sign, 0)
+    return out if out.ndim else int(out)
 
 
 def join_irreducible_criterion(lat: CrossSectionLattice, u: int) -> bool:
@@ -454,41 +470,41 @@ def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport],
     relatively complemented, atomic and Boolean flags.  Each flag reads
     only that matrix (its covers, grading, bottom, top and tables all
     follow from it), so an interval whose matrix is already a key takes
-    the cached flags; the criterion still runs on every interval.
+    the cached flags.  The criterion, the Mobius and meet/join formulas and
+    the covering condition each run once over whole arrays of pairs.
     """
     poset = lat.to_poset()
     elements = lat.elements
+    masks = np.array(elements, dtype=np.uint32)
 
+    # each interval's ends, in the row-major order of leq
+    bottoms, tops = np.nonzero(poset.leq)
+    crits = relcomp_criterion(lat, masks[bottoms], masks[tops])
     interval_bad = 0
-    for xi in range(poset.size):
-        for yi in np.where(poset.leq[xi, :])[0]:
-            inter = poset.interval_poset(xi, int(yi))
-            key = inter.leq.tobytes()
-            flags = interval_flags.get(key)
-            if flags is None:
-                flags = interval_flags[key] = (inter.is_relatively_complemented(),
-                                               inter.is_atomic(), inter.is_boolean())
-            crit = relcomp_criterion(lat, elements[xi], elements[int(yi)])
-            if len({crit, *flags}) != 1:
-                interval_bad += 1
+    for xi, yi, crit in zip(bottoms.tolist(), tops.tolist(), crits.tolist()):
+        inter = poset.interval_poset(xi, yi)
+        key = inter.leq.tobytes()
+        flags = interval_flags.get(key)
+        if flags is None:
+            flags = interval_flags[key] = (inter.is_relatively_complemented(),
+                                           inter.is_atomic(), inter.is_boolean())
+        if len({crit, *flags}) != 1:
+            interval_bad += 1
 
-    # one pass over pairs checks the Mobius formula, the meet/join formulas
-    # and Birkhoff's covering condition: x covering x ^ y implies that
+    # all ordered pairs (x, y) at once, x down the rows: the Mobius formula
+    # against the Mobius rows, the meet/join formulas against the tables,
+    # and Birkhoff's covering condition, that x covering x ^ y implies that
     # x v y covers y
-    cov = poset.covers.tolist()
-    mobius_bad = table_bad = 0
-    covering_ok = True
-    for i, u in enumerate(elements):
-        for j, v in enumerate(elements):
-            if mobius_formula(lat, u, v) != poset.mobius(i, j):
-                mobius_bad += 1
-            m, jn = poset.meet(i, j), poset.join(i, j)
-            if lat.meet(u, v) != elements[m]:
-                table_bad += 1
-            if lat.join(u, v) != elements[jn]:
-                table_bad += 1
-            if cov[m][i] and not cov[j][jn]:
-                covering_ok = False
+    xs = np.arange(poset.size)[:, None]
+    ys = xs.T
+    us, vs = masks[xs], masks[ys]
+    mu = np.stack([poset.mobius_from(x) for x in range(poset.size)])
+    mobius_bad = np.count_nonzero(mobius_formula(lat, us, vs) != np.where(poset.leq, mu, 0))
+    meets, joins = poset.meet(xs, ys), poset.join(xs, ys)
+    table_bad = (np.count_nonzero(lat.meet(us, vs) != masks[meets])
+                 + np.count_nonzero(lat.join(us, vs) != masks[joins]))
+    cov = poset.covers
+    covering_ok = not (cov[meets, xs] & ~cov[ys, joins]).any()
 
     crit_ji = {u for u in elements[1:] if join_irreducible_criterion(lat, u)}
     brute_ji = {elements[i] for i in poset.join_irreducibles()}

@@ -6,15 +6,15 @@ section lattice, or lattice table, or what a poset builder takes) as its
 first argument.  The engine in crosslat.poset_engine answers the same
 questions, where it needs them, through one faster route; the tests
 compare it against these.  The
-theorem scan helper takes a cross section lattice and stands in for a part
+theorem scan helpers take a cross section lattice and stand in for parts
 of crosslat.theorem_suite.  The adjacency and admissibility helpers at the
 end take the graph first and stand in for crosslat.diagram and
 crosslat.crosslattice.
 """
 import numpy as np
 
-from crosslat.diagram import iter_nodes, node_bit
-from crosslat.errors import GradednessError, PreconditionError
+from crosslat.diagram import format_nodeset, iter_nodes, node_bit
+from crosslat.errors import EmptyIntervalError, GradednessError, PreconditionError
 from crosslat.poset_engine import (
     CharPolynomial,
     FinitePoset,
@@ -22,7 +22,6 @@ from crosslat.poset_engine import (
     boolean_lattice,
     posets_isomorphic,
 )
-from crosslat.theorem_suite import relcomp_criterion
 
 
 def evaluate(poly: CharPolynomial, x: int) -> int:
@@ -292,12 +291,35 @@ def classify_rank3_interval(p: FinitePoset) -> str:
 # -- theorem scan -------------------------------------------------------------------
 
 
+def relcomp_by_node_loop(lat, u: int, v: int) -> bool:
+    """relcomp_criterion(lat, u, v) on two masks, one node of j0 & (v - u)
+    at a time: each must have a neighbour in u."""
+    lat.index(u)
+    lat.index(v)
+    if u & ~v:
+        raise EmptyIntervalError(f"{format_nodeset(u)} is not below {format_nodeset(v)}")
+    g = lat.graph
+    for a in iter_nodes(v & ~u & lat.j0):
+        if not g.neighbors(a) & u:
+            return False
+    return True
+
+
+def mobius_by_node_loop(lat, u: int, v: int) -> int:
+    """mobius_formula(lat, u, v) on two masks, through relcomp_by_node_loop."""
+    lat.index(u)
+    lat.index(v)
+    if u & ~v or not relcomp_by_node_loop(lat, u, v):
+        return 0
+    return -1 if (v & ~u).bit_count() % 2 else 1
+
+
 def interval_mismatches_by_loop(lat) -> int:
     """The theorem scan's interval mismatch count, with no memo.
 
     Every interval [x, y] of lat is built, and its relatively complemented,
     atomic and Boolean flags are computed afresh; it counts when they and
-    relcomp_criterion do not all agree.
+    relcomp_by_node_loop do not all agree.
     """
     poset = lat.to_poset()
     elements = lat.elements
@@ -305,10 +327,38 @@ def interval_mismatches_by_loop(lat) -> int:
     for xi in range(poset.size):
         for yi in np.flatnonzero(poset.leq[xi]).tolist():
             inter = poset.interval_poset(xi, yi)
-            flags = {relcomp_criterion(lat, elements[xi], elements[yi]),
+            flags = {relcomp_by_node_loop(lat, elements[xi], elements[yi]),
                      inter.is_relatively_complemented(), inter.is_atomic(), inter.is_boolean()}
             bad += len(flags) != 1
     return bad
+
+
+def pair_mismatches_by_loop(lat) -> tuple[int, int, bool]:
+    """The theorem scan's Mobius and meet/join mismatch counts and its
+    covering flag, one ordered pair of elements at a time.
+
+    A pair counts once when mobius_by_node_loop differs from poset.mobius, and
+    once more for each of lat.meet and lat.join that differs from the
+    element the engine's table gives.  The flag is False when some x
+    covers x ^ y while y is not covered by x v y.
+    """
+    poset = lat.to_poset()
+    elements = lat.elements
+    cov = poset.covers.tolist()
+    mobius_bad = table_bad = 0
+    covering_ok = True
+    for i, u in enumerate(elements):
+        for j, v in enumerate(elements):
+            if mobius_by_node_loop(lat, u, v) != poset.mobius(i, j):
+                mobius_bad += 1
+            m, jn = poset.meet(i, j), poset.join(i, j)
+            if lat.meet(u, v) != elements[m]:
+                table_bad += 1
+            if lat.join(u, v) != elements[jn]:
+                table_bad += 1
+            if cov[m][i] and not cov[j][jn]:
+                covering_ok = False
+    return mobius_bad, table_bad, covering_ok
 
 
 # -- adjacency and admissibility ---------------------------------------------------

@@ -465,6 +465,21 @@ def test_scan_rejects_non_positive_jobs(tmp_path, capsys):
     assert "rows=4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("jobs", "x"), ("n-max", "y"), ("jobs", "2.5")])
+def test_integer_options_read_alike_from_flag_and_config(key, value, tmp_path, capsys):
+    base = ["scan", "charpoly", "--family", "path A"]
+    base += [] if key == "n-max" else ["--n-max", "3"]
+    conf = tmp_path / "scan.conf"
+    conf.write_text(f"{key} = {value}\n")
+    errors = []
+    for argv in (base + [f"--{key}", value], base + ["--config", str(conf)]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == f"error: --{key} expects an integer, got {value!r}\n"
+
+
 def fake_scan(rows):
     def run(kind, n_max, n_min=1):
         return rows

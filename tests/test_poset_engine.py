@@ -219,6 +219,27 @@ def test_membership_errors():
         p.interval_poset(2, 0)
 
 
+def test_indices_must_be_integers():
+    b2 = boolean_lattice(2)
+    # a float was truncated: join(1.9, 2) gave the join of 1 and 2
+    for call in (lambda: b2.join(1.9, 2), lambda: b2.meet(2, 1.0), lambda: b2.mobius(0.5, 3),
+                 lambda: b2.mobius_from(1.0), lambda: b2.interval_poset(0, 3.0),
+                 lambda: b2.join(True, 2), lambda: b2.meet(np.bool_(True), 2),
+                 lambda: b2.join("1", 2), lambda: b2.mobius_from(np.array([1])),
+                 lambda: b2.interval_poset(np.array(0), 3),
+                 lambda: b2.join(np.array([True, False, True, False]), 1),
+                 lambda: b2.meet(np.array([0.0, 1.0]), 1),
+                 lambda: b2.join(np.array([0, 4]), 1), lambda: b2.meet(np.array([-1]), 1)):
+        with pytest.raises(MembershipError):
+            call()
+    assert b2.join(np.int64(1), np.uint8(2)) == 3 and type(b2.join(np.int64(1), 2)) is int
+    assert b2.mobius(np.int32(0), 3) == 1
+    rows = np.arange(4)[:, None]
+    assert b2.join(rows, rows.T).tolist() == [[b2.join(i, j) for j in range(4)]
+                                              for i in range(4)]
+    assert b2.meet(np.array([3, 3], dtype=np.uint16), 1).tolist() == [1, 1]
+
+
 def test_covers_and_rank_of_chain():
     p = chain_poset(4)
     assert p.covers.sum() == 3

@@ -4,19 +4,28 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from reference_routes import interval_mismatches_by_loop
+from hypothesis import given, settings, strategies as st
+from reference_routes import (
+    interval_mismatches_by_loop,
+    mobius_by_node_loop,
+    pair_mismatches_by_loop,
+    relcomp_by_node_loop,
+)
 
 from crosslat import theorem_suite
 from crosslat.crosslattice import CrossSectionLattice
 from crosslat.diagram import (
     CYCLE_KIND,
     PATH_KINDS,
+    build_custom_graph,
     build_cycle_diagram,
     build_path_diagram,
     nodes_to_mask,
 )
 from crosslat.errors import (
+    EmptyIntervalError,
     InvalidSizeError,
+    MembershipError,
     PreconditionError,
     SizeLimitError,
     UnsupportedGraphError,
@@ -75,8 +84,6 @@ def test_relcomp_and_mobius_match_engine_exhaustively():
 
 
 def test_relcomp_rejects_non_interval():
-    from crosslat.errors import EmptyIntervalError
-
     lat = path_lattice(3, {2})
     g = lat.graph
     with pytest.raises(EmptyIntervalError):
@@ -91,6 +98,107 @@ def test_six_element_interval_is_not_relatively_complemented():
     v = mask(g, {1, 2, 3, 7, 8})
     assert not relcomp_criterion(lat, u, v)
     assert mobius_formula(lat, u, v) == 0
+
+
+@st.composite
+def small_lattices(draw):
+    """A path, a cycle or a drawn graph on at most 6 nodes, with a drawn j0."""
+    kind = draw(st.sampled_from(("path", "cycle", "drawn")))
+    if kind == "path":
+        g = build_path_diagram("A", draw(st.integers(min_value=1, max_value=6)))
+    elif kind == "cycle":
+        g = build_cycle_diagram(draw(st.integers(min_value=3, max_value=6)))
+    else:
+        n = draw(st.integers(min_value=1, max_value=6))
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        g = build_custom_graph(n, draw(st.lists(st.sampled_from(pairs))) if pairs else [])
+    return CrossSectionLattice(g, draw(st.integers(min_value=0, max_value=g.full_mask)))
+
+
+def element_pairs(lat):
+    """Every ordered pair of elements, x down the rows: indices and masks."""
+    xs = np.arange(lat.size)[:, None]
+    masks = np.array(lat.elements, dtype=np.uint32)
+    return xs, xs.T, masks[xs], masks[xs.T]
+
+
+@given(small_lattices())
+@settings(max_examples=100, deadline=None)
+def test_array_calls_equal_scalar_calls(lat):
+    poset = lat.to_poset()
+    xs, ys, us, vs = element_pairs(lat)
+    tables = {
+        "poset.join": (poset.join(xs, ys), lambda i, j, u, v: poset.join(i, j)),
+        "poset.meet": (poset.meet(xs, ys), lambda i, j, u, v: poset.meet(i, j)),
+        "lat.join": (lat.join(us, vs), lambda i, j, u, v: lat.join(u, v)),
+        "lat.meet": (lat.meet(us, vs), lambda i, j, u, v: lat.meet(u, v)),
+        "mobius_formula": (mobius_formula(lat, us, vs),
+                           lambda i, j, u, v: mobius_formula(lat, u, v)),
+    }
+    for name, (table, scalar) in tables.items():
+        assert table.shape == (lat.size, lat.size), name
+        expected = [[scalar(i, j, u, v) for j, v in enumerate(lat.elements)]
+                    for i, u in enumerate(lat.elements)]
+        assert table.tolist() == expected, name
+    assert type(poset.join(0, 0)) is int and type(lat.meet(0, 0)) is int
+    assert type(mobius_formula(lat, 0, 0)) is int
+
+    below, above = np.nonzero(poset.leq)
+    masks = us.ravel()
+    crits = relcomp_criterion(lat, masks[below], masks[above])
+    assert crits.tolist() == [relcomp_criterion(lat, lat.elements[i], lat.elements[j])
+                              for i, j in zip(below.tolist(), above.tolist())]
+
+
+@given(small_lattices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_non_member_in_an_array_is_refused(lat, data):
+    _, _, us, vs = element_pairs(lat)
+    outsiders = [m for m in range(lat.graph.full_mask + 2) if m not in lat]
+    bad = us.copy()
+    bad[data.draw(st.integers(min_value=0, max_value=lat.size - 1)), 0] = \
+        data.draw(st.sampled_from(outsiders))
+    for call in (lat.join, lat.meet, lambda u, v: relcomp_criterion(lat, u, v),
+                 lambda u, v: mobius_formula(lat, u, v)):
+        with pytest.raises(MembershipError):
+            call(bad, vs)
+        with pytest.raises(MembershipError):
+            call(vs, bad)
+
+
+@given(small_lattices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_pair_not_below_is_refused(lat, data):
+    poset = lat.to_poset()
+    masks = np.array(lat.elements, dtype=np.uint32)
+    below, above = np.nonzero(poset.leq)
+    apart = np.argwhere(~poset.leq)
+    if not len(apart):
+        return
+    i, j = apart[data.draw(st.integers(min_value=0, max_value=len(apart) - 1))]
+    at = data.draw(st.integers(min_value=0, max_value=len(below)))
+    us = np.insert(masks[below], at, masks[i])
+    vs = np.insert(masks[above], at, masks[j])
+    with pytest.raises(EmptyIntervalError):
+        relcomp_criterion(lat, us, vs)
+    assert mobius_formula(lat, us, vs)[at] == 0
+
+
+def test_bit_test_matches_the_node_loop_on_paths_and_cycles():
+    graphs = ([build_path_diagram("A", n) for n in range(1, 7)]
+              + [build_cycle_diagram(n) for n in range(3, 7)])
+    for g in graphs:
+        for j0 in range(g.full_mask + 1):
+            lat = CrossSectionLattice(g, j0)
+            _, _, us, vs = element_pairs(lat)
+            masks = us.ravel()
+            below, above = np.nonzero(lat.to_poset().leq)
+            crits = relcomp_criterion(lat, masks[below], masks[above])
+            assert crits.tolist() == [relcomp_by_node_loop(lat, u, v) for u, v in
+                                      zip(masks[below].tolist(), masks[above].tolist())], (g, j0)
+            assert mobius_formula(lat, us, vs).ravel().tolist() == [
+                mobius_by_node_loop(lat, u, v) for u in lat.elements for v in lat.elements], \
+                (g, j0)
 
 
 def test_join_irreducibles_match_bruteforce():
@@ -447,6 +555,67 @@ def test_interval_flags_once_per_order_count_every_interval(monkeypatch):
         scanned, looped = interval_counts(kind, n_max)
         assert scanned == looped, kind
         assert any(scanned.values()), kind
+
+
+def pair_rows(kind, n_max):
+    """Each configuration's Mobius and meet/join mismatch counts and covering
+    flag, from the scan and from the per-pair reference loop."""
+    def count(value):
+        return 0 if value == "ok" else int(value.split()[0])
+
+    scanned: dict = {}
+    for r in theorem_equivalence_scan(kind, n_max):
+        row = scanned.setdefault((r.n, r.j0_mask), {})
+        if r.criterion == "interval_mobius_formula":
+            row[0] = count(r.value)
+        elif r.criterion == "meet_glb_formula":
+            row[1] = count(r.value)
+        elif r.criterion == "upper_semimodularity":
+            row[2] = r.oracle == "True"
+    scanned = {key: (row[0], row[1], row[2]) for key, row in scanned.items()}
+    looped = {(n, j0): pair_mismatches_by_loop(CrossSectionLattice(family_graph(kind, n), j0))
+              for n in range(1, n_max + 1) for j0 in range(2 ** n)}
+    return scanned, looped
+
+
+def test_pair_rows_match_the_per_pair_loop():
+    for kind in PATH_KINDS:
+        scanned, looped = pair_rows(kind, 5)
+        assert scanned == looped, kind
+        assert set(scanned.values()) == {(0, 0, True)}, kind
+
+
+def test_pair_rows_count_each_wrong_entry_once_per_pair(monkeypatch):
+    # the meet table off on (top, bottom), giving a coatom: one table
+    # mismatch, and the covering condition fails from rank 2 on
+    meet = FinitePoset.meet
+
+    def off_on_one_pair(poset, i, j):
+        out = meet(poset, i, j)
+        top = poset.size - 1
+        coatom = int(np.flatnonzero(poset.covers[:, top])[0]) if top else 0
+        wrong = (np.asarray(i) == top) & (np.asarray(j) == 0)
+        return np.where(wrong, coatom, out) if isinstance(out, np.ndarray) else (
+            coatom if wrong else out)
+
+    # and the Mobius row of the bottom off at the top
+    mobius_from = FinitePoset.mobius_from
+
+    def perturbed(poset, x):
+        row = mobius_from(poset, x)
+        if x == 0:
+            row = row.copy()
+            row[-1] += 1
+        return row
+
+    monkeypatch.setattr(FinitePoset, "meet", off_on_one_pair)
+    monkeypatch.setattr(FinitePoset, "mobius_from", perturbed)
+    scanned, looped = pair_rows("path_A", 5)
+    assert scanned == looped
+    assert all(mobius_bad == 1 for mobius_bad, _, _ in scanned.values())
+    assert scanned[(3, 0)] == (1, 1, False)
+    # two elements: the coatom is the bottom, so the meet table is right
+    assert scanned[(1, 0)] == (1, 0, True)
 
 
 def test_interval_flag_memo_holds_each_orders_own_flags(monkeypatch):
