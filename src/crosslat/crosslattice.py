@@ -93,9 +93,14 @@ class CrossSectionLattice:
     def index(self, mask):
         """The index of mask in elements, elementwise on a uint array of masks.
 
-        Raises MembershipError when a mask, or any entry, is no element.
+        mask is a Python or numpy integer, or an unsigned array.  Raises
+        MembershipError on anything else, so a float or a bool that hashes
+        like an element is never read as one, and when a mask, or any
+        entry, is no element.
         """
         if not isinstance(mask, np.ndarray):
+            if type(mask) is not int and not isinstance(mask, np.integer):
+                raise MembershipError(f"mask {mask!r} is not an integer")
             try:
                 return self._index[mask]
             except KeyError:

@@ -4,9 +4,16 @@ For a bounded graded poset of rank n, alpha(I) counts chains in the
 proper part whose rank set is exactly I, for I a subset of 1..n-1.
 beta is the inclusion-exclusion transform of alpha.  Both live in a
 quasi-symmetric generating function, stored with exact integer
-coefficients keyed by subsets (equivalently compositions of n).  Flag
-counts are exact in int64, or refused with SizeLimitError when they could
-leave it.
+coefficients keyed by subsets (equivalently compositions of n).
+
+Flag counts are exact.  Each count, and each partial sum of nonnegative
+terms taken while computing one, counts chains with a fixed rank set,
+and distinct such chains extend to distinct maximal chains of the
+(graded) proper part.  So every number met is at most the count M of
+maximal chains.  M itself is computed in int64 and checked exactly; when
+it reaches 2^63 the counts are refused with SizeLimitError.  Below 2^53
+every integer up to M is a float64, so the products run in float64
+(BLAS) and every sum is exact; from 2^53 to 2^63 they run in int64.
 """
 from __future__ import annotations
 
@@ -77,12 +84,17 @@ class QuasiSymFunction:
             raise CompositionError("degree must be nonnegative")
         self.basis = basis
         self.degree = int(degree)
+        # a key equal to a subset of the table is that subset; only a miss
+        # is checked, and refused or converted, by _check_subset
+        table = _subset_table(self.degree)
         clean: dict[Subset, int] = {}
         for key, val in coeffs.items():
-            key = _check_subset(key, degree)
+            subset = table.get(key)
+            if subset is None:
+                subset = _check_subset(key, degree)
             val = int(val)
             if val:
-                clean[key] = val
+                clean[subset] = val
         self._coeffs = clean
 
     def coeff(self, subset: Subset) -> int:
@@ -110,70 +122,105 @@ def _rank_sets(degree: int) -> tuple[Subset, ...]:
                  for s in combinations(range(1, degree), size))
 
 
-def _proper_layers(p: FinitePoset) -> tuple[int, list[list[int]]]:
+@cache
+def _rank_set_masks(degree: int) -> np.ndarray:
+    """Each rank set of _rank_sets(degree) as a bitmask, rank i at bit i-1."""
+    masks = np.array([sum(1 << (i - 1) for i in s) for s in _rank_sets(degree)],
+                     dtype=np.int64)
+    masks.setflags(write=False)  # shared by every caller
+    return masks
+
+
+@cache
+def _subset_table(degree: int) -> dict[Subset, Subset]:
+    """Each subset of 1..degree-1 keyed by itself, up to MAX_DEGREE."""
+    return {s: s for s in _rank_sets(degree)} if degree <= MAX_DEGREE else {}
+
+
+@cache
+def _partition_types(degree: int) -> tuple[tuple[int, ...], ...]:
+    """The partition type of each rank set of _rank_sets(degree)."""
+    return tuple(partition_of_composition(subset_to_composition(s, degree))
+                 for s in _rank_sets(degree))
+
+
+def _degree(p: FinitePoset) -> int:
+    """The rank of p, which must be bounded and graded, up to MAX_DEGREE."""
     if p.bottom is None or p.top is None:
         raise PreconditionError("flag counting needs bottom and top")
-    ranks = p.rank()
-    n = ranks[p.top]
+    n = p.rank()[p.top]
     if n > MAX_DEGREE:
         raise SizeLimitError(f"flag counting capped at rank {MAX_DEGREE}")
-    layers: list[list[int]] = [[] for _ in range(n + 1)]
-    for v, r in enumerate(ranks):
-        layers[r].append(v)
-    return n, layers
+    return n
 
 
 def flag_f_vector(p: FinitePoset) -> dict[Subset, int]:
-    """Chain counts of the proper part by exact rank set."""
-    n, layers = _proper_layers(p)
-    leq = p.leq
-    steps = {(a, b): leq[np.ix_(layers[a], layers[b])].astype(np.int64)
-             for a, b in combinations(range(n), 2)}
-    # Every chain with rank set S extends to a maximal chain of the proper
-    # part (the poset is graded), so alpha(S) <= alpha(1..n-1), and so is
-    # each entry of ends[S] below.  int64 is exact on counts below 2^63.
+    """Chain counts of the proper part by exact rank set.
+
+    One vector-matrix product per pair of ranks b < a: the chains whose
+    rank set ends at a extend those ending at each lower rank b, so their
+    counts stack the products of the latter with the order between ranks
+    b and a.
+    """
+    n = _degree(p)
+    # the order with its indices sorted by rank (leq itself on a cross
+    # section lattice), and the end of each rank's run of indices
+    _, leq, ends = p._levels
+    starts = [0, *ends]
+
+    def block(b: int, a: int) -> np.ndarray:
+        return leq[starts[b]:ends[b], starts[a]:ends[a]]
+
     # maximal[v] counts the chains from the bottom to v: a sum of distinct
     # entries one rank down, so exact while their sum, taken in Python ints,
     # is below 2^63.  The last such sum counts the maximal chains.
     maximal = np.ones(1, dtype=np.int64)
-    for a in range(n - 1):
-        maximal = maximal @ steps[(a, a + 1)]
-        if sum(maximal.tolist()) >= 2 ** 63:
+    total = 1
+    for a in range(1, n):
+        maximal = maximal @ block(a - 1, a).astype(np.int64)
+        total = sum(maximal.tolist())
+        if total >= 2 ** 63:
             raise SizeLimitError("flag counts would overflow int64")
-    # ends[s][v]: chains with rank set s ending at the v-th element of rank
-    # s[-1] (at the bottom for s = ()); each extends the vector of s[:-1] by
-    # one step.  s + (n-1,) is the last extension of s and has none of its
-    # own, so both are dropped there.
-    ends = {(): np.ones(1, dtype=np.int64)}
-    out: dict[Subset, int] = {}
-    for s in _rank_sets(n):
-        vec = ends[s[:-1]] @ steps[((0,) + s)[-2:]] if s else ends[s]
-        out[s] = int(vec.sum())
-        if s and s[-1] == n - 1:
-            del ends[s[:-1]]
-        else:
-            ends[s] = vec
-    return out
+    # every entry and partial sum below is at most total (module docstring)
+    dtype = np.float64 if total < 2 ** 53 else np.int64
+    # chains[b] has one row per rank set S with last rank b (S = () at the
+    # bottom, b = 0), whose entry at v counts the chains with rank set S
+    # ending at the v-th element of rank b; masks[b] has S as a bitmask,
+    # rank i at bit i-1, and alpha the counts by bitmask
+    alpha = np.zeros(1 << max(n - 1, 0), dtype=np.int64)
+    alpha[0] = 1
+    chains = {0: np.ones((1, 1), dtype=dtype)}
+    masks = {0: np.zeros(1, dtype=np.int64)}
+    for a in range(1, n - 1):
+        chains[a] = np.vstack([chains[b] @ block(b, a).astype(dtype) for b in range(a)])
+        masks[a] = np.concatenate([masks[b] for b in range(a)]) | (1 << (a - 1))
+        alpha[masks[a]] = chains[a].sum(axis=1)
+    # no rank set extends past the last proper rank n-1, so those chains
+    # are only counted: each chain ending at u extends to as many as there
+    # are elements of rank n-1 above u
+    for b in range(n - 1):
+        alpha[masks[b] | (1 << (n - 2))] = chains[b] @ block(b, n - 1).sum(axis=1, dtype=dtype)
+    return dict(zip(_rank_sets(n), alpha[_rank_set_masks(n)].tolist()))
 
 
 def _subset_sums(values: Mapping[Subset, int], degree: int, sign: int) -> dict[Subset, int]:
     """Sum of sign^|T - U| * values[U] over the subsets U of T, for every T.
 
-    T runs over _rank_sets(degree).  With subsets as bitmasks (i -> bit
-    i-1), one pass per bit adds into each mask holding the bit the entry
-    of the mask without it: (degree-1) 2^(degree-2) additions in place of
-    3^(degree-1) terms.
+    T runs over _rank_sets(degree), and values are exact Python ints.  With
+    subsets as bitmasks (i -> bit i-1) indexing an object array of those
+    ints, one vectorised pass per bit adds into each mask holding the bit
+    the entry of the mask without it: (degree-1) 2^(degree-2) additions in
+    place of 3^(degree-1) terms, and no bound on the sums.
     """
     keys = _rank_sets(degree)
-    masks = [sum(1 << (i - 1) for i in s) for s in keys]
-    sums = [0] * len(keys)
-    for key, mask in zip(keys, masks):
-        sums[mask] = values.get(key, 0)
-    for bit in (1 << b for b in range(degree - 1)):
-        for mask in range(len(sums)):
-            if mask & bit:
-                sums[mask] += sign * sums[mask ^ bit]
-    return {key: sums[mask] for key, mask in zip(keys, masks)}
+    masks = _rank_set_masks(degree)
+    sums = np.zeros(len(keys), dtype=object)
+    sums[masks] = [values.get(key, 0) for key in keys]
+    for b in range(degree - 1):
+        # axis 1 is bit b: index 0 without it, 1 with it
+        halves = sums.reshape(-1, 2, 1 << b)
+        halves[:, 1] += sign * halves[:, 0]
+    return dict(zip(keys, sums[masks].tolist()))
 
 
 def flag_beta(p: FinitePoset) -> dict[Subset, int]:
@@ -185,8 +232,7 @@ def flag_beta(p: FinitePoset) -> dict[Subset, int]:
 
 def flag_qsym(p: FinitePoset) -> QuasiSymFunction:
     """Generating function with beta coefficients in the fundamental basis."""
-    n, _ = _proper_layers(p)
-    return QuasiSymFunction("F", n, flag_beta(p))
+    return QuasiSymFunction("F", _degree(p), flag_beta(p))
 
 
 def fundamental_to_monomial(q: QuasiSymFunction) -> QuasiSymFunction:
@@ -203,9 +249,8 @@ def is_flag_symmetric(p: FinitePoset) -> bool:
     mono = fundamental_to_monomial(flag_qsym(p))
     n = mono.degree
     by_partition: dict[tuple[int, ...], int] = {}
-    for subset in _rank_sets(n):
-        part = partition_of_composition(subset_to_composition(subset, n))
-        val = mono.coeff(subset)
+    for subset, part in zip(_rank_sets(n), _partition_types(n)):
+        val = mono._coeffs.get(subset, 0)
         if by_partition.setdefault(part, val) != val:
             return False
     return True

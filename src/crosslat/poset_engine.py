@@ -502,7 +502,8 @@ class FinitePoset:
 
     @cached_property
     def _levels(self) -> tuple[Optional[np.ndarray], np.ndarray, list[int]]:
-        """The order with its indices sorted into levels, for mobius_from.
+        """The order with its indices sorted into levels, for mobius_from
+        and the flag counts.
 
         A graded poset's levels are its ranks, and any other poset's are
         its heights; either way each level is an antichain and everything

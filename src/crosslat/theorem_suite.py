@@ -30,6 +30,7 @@ from .diagram import (
     is_standard_path,
     iter_nodes,
     node_bit,
+    reach,
 )
 from .errors import (
     EmptyIntervalError,
@@ -139,21 +140,26 @@ def mobius_formula(lat: CrossSectionLattice, u, v):
     return out if out.ndim else int(out)
 
 
-def join_irreducible_criterion(lat: CrossSectionLattice, u: int) -> bool:
+def join_irreducible_criterion(lat: CrossSectionLattice, u):
     """Join irreducible: one free node, or a connected j0 block plus one
-    free node adjacent to it."""
+    free node adjacent to it.
+
+    u is a mask, and the answer a bool, or a uint array of masks, and the
+    answer a bool array.  The free node of an element touches its block:
+    each component of an element reaches outside j0, so an element with
+    one free node is connected.  So only the block is tested, for being
+    all reached inside itself from its lowest node.  Raises
+    PreconditionError when some u is the bottom.
+    """
     lat.index(u)
-    if u == 0:
+    if not np.all(u):
         raise PreconditionError("the bottom element is not classified")
+    if not isinstance(u, np.ndarray):
+        u = int(u)  # a numpy scalar would warn on the negation below
     inside = u & lat.j0
-    outside = u & ~lat.j0
-    if inside == 0:
-        return u.bit_count() == 1
-    if outside.bit_count() != 1:
-        return False
-    if not is_connected_subset(lat.graph, inside):
-        return False
-    return bool(lat.graph.adjacent_to_set(inside) & outside)
+    connected = reach(lat.graph, inside & -inside, inside) == inside
+    out = (np.bitwise_count(u ^ inside) == 1) & connected
+    return out if isinstance(out, np.ndarray) else bool(out)
 
 
 # -- whole-lattice criteria ----------------------------------------------------
@@ -506,7 +512,7 @@ def _theorem_rows(lat: CrossSectionLattice, rows: list[CriterionReport],
     cov = poset.covers
     covering_ok = not (cov[meets, xs] & ~cov[ys, joins]).any()
 
-    crit_ji = {u for u in elements[1:] if join_irreducible_criterion(lat, u)}
+    crit_ji = set(masks[1:][join_irreducible_criterion(lat, masks[1:])].tolist())
     brute_ji = {elements[i] for i in poset.join_irreducibles()}
     rows.extend([
         _row(lat, "interval_relcomp_atomic_boolean", _mismatches(interval_bad), "ok"),

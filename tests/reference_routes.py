@@ -5,16 +5,19 @@ build the engine used before, and takes the poset (or polynomial, or cross
 section lattice, or lattice table, or what a poset builder takes) as its
 first argument.  The engine in crosslat.poset_engine answers the same
 questions, where it needs them, through one faster route; the tests
-compare it against these.  The
-theorem scan helpers take a cross section lattice and stand in for parts
-of crosslat.theorem_suite.  The adjacency and admissibility helpers at the
-end take the graph first and stand in for crosslat.diagram and
-crosslat.crosslattice.
+compare it against these.  The flag helpers stand in for parts of
+crosslat.flags.  The theorem scan helpers take a cross section lattice
+and stand in for parts of crosslat.theorem_suite.  The adjacency and
+admissibility helpers at the end take the graph first and stand in for
+crosslat.diagram and crosslat.crosslattice.
 """
+from itertools import combinations
+
 import numpy as np
 
-from crosslat.diagram import format_nodeset, iter_nodes, node_bit
+from crosslat.diagram import format_nodeset, is_connected_subset, iter_nodes, node_bit
 from crosslat.errors import EmptyIntervalError, GradednessError, PreconditionError
+from crosslat.flags import _rank_sets
 from crosslat.poset_engine import (
     CharPolynomial,
     FinitePoset,
@@ -156,6 +159,13 @@ def poset_from_cover_relations(n: int, covers) -> FinitePoset:
         rel = grown
 
 
+def antichain_tower(width: int, levels: int = 15) -> FinitePoset:
+    """Ordinal sum of a bottom, `levels` antichains of `width` elements and a top."""
+    level = np.array([0] + [k for k in range(1, levels + 1) for _ in range(width)]
+                     + [levels + 1])
+    return FinitePoset((level[:, None] < level[None, :]) | np.eye(len(level), dtype=bool))
+
+
 def dual(p: FinitePoset) -> FinitePoset:
     """The same elements with the order reversed."""
     return FinitePoset(p.leq.T)
@@ -288,6 +298,51 @@ def classify_rank3_interval(p: FinitePoset) -> str:
     return "other"
 
 
+# -- flag counts --------------------------------------------------------------------
+
+
+def flag_f_vector_by_rank_sets(p: FinitePoset) -> dict[tuple[int, ...], int]:
+    """flag_f_vector(p) by one int64 vector-matrix product per rank set.
+
+    The leq blocks between every two ranks are gathered first; the vector
+    of a rank set s counts the chains with rank set s ending at each
+    element of rank s[-1], and extends the vector of s[:-1] by one block.
+    No overflow check: the caller keeps the counts below 2^63.
+    """
+    ranks = p.rank()
+    n = ranks[p.top]
+    layers: list[list[int]] = [[] for _ in range(n + 1)]
+    for v, r in enumerate(ranks):
+        layers[r].append(v)
+    steps = {(a, b): p.leq[np.ix_(layers[a], layers[b])].astype(np.int64)
+             for a, b in combinations(range(n), 2)}
+    ends = {(): np.ones(1, dtype=np.int64)}
+    out = {}
+    for s in _rank_sets(n):
+        vec = ends[s[:-1]] @ steps[((0,) + s)[-2:]] if s else ends[s]
+        out[s] = int(vec.sum())
+        # s + (n-1,) is the last extension of s[:-1]
+        if s and s[-1] == n - 1:
+            del ends[s[:-1]]
+        else:
+            ends[s] = vec
+    return out
+
+
+def subset_sums_by_loop(values, degree: int, sign: int) -> dict[tuple[int, ...], int]:
+    """flags._subset_sums(values, degree, sign) by a Python loop per bit."""
+    keys = _rank_sets(degree)
+    masks = [sum(1 << (i - 1) for i in s) for s in keys]
+    sums = [0] * len(keys)
+    for key, mask in zip(keys, masks):
+        sums[mask] = values.get(key, 0)
+    for bit in (1 << b for b in range(degree - 1)):
+        for mask in range(len(sums)):
+            if mask & bit:
+                sums[mask] += sign * sums[mask ^ bit]
+    return {key: sums[mask] for key, mask in zip(keys, masks)}
+
+
 # -- theorem scan -------------------------------------------------------------------
 
 
@@ -312,6 +367,21 @@ def mobius_by_node_loop(lat, u: int, v: int) -> int:
     if u & ~v or not relcomp_by_node_loop(lat, u, v):
         return 0
     return -1 if (v & ~u).bit_count() % 2 else 1
+
+
+def join_irreducible_by_components(lat, u: int) -> bool:
+    """join_irreducible_criterion(lat, u) on one mask, its j0 block's
+    connectivity from the block's components."""
+    lat.index(u)
+    if u == 0:
+        raise PreconditionError("the bottom element is not classified")
+    inside = u & lat.j0
+    outside = u & ~lat.j0
+    if inside == 0:
+        return u.bit_count() == 1
+    if outside.bit_count() != 1 or not is_connected_subset(lat.graph, inside):
+        return False
+    return bool(lat.graph.adjacent_to_set(inside) & outside)
 
 
 def interval_mismatches_by_loop(lat) -> int:

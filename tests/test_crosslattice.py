@@ -5,6 +5,7 @@ alone (union-find over the subset), independent of the bitmask adjacency
 used by the implementation.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -208,6 +209,20 @@ def test_membership_and_rank():
     assert nodes_to_mask([2]) not in lat
     with pytest.raises(MembershipError):
         lat.index(nodes_to_mask([2]))
+
+
+def test_non_integer_masks_are_refused():
+    # 3.0, 1.0 and True hash like the elements 3, 1 and 1
+    lat = CrossSectionLattice(build_path_diagram("A", 3), 0)
+    for call in (lambda: lat.rank(3.0), lambda: lat.join(1.0, 2), lambda: lat.meet(True, 3),
+                 lambda: lat.leq(np.float64(1), 3), lambda: lat.covers(False),
+                 lambda: lat.interval(0, 3.0), lambda: lat.index(np.bool_(True)),
+                 lambda: lat.join(np.array([1.0]), 2)):
+        with pytest.raises(MembershipError):
+            call()
+    assert lat.rank(np.uint32(3)) == 2
+    assert lat.join(np.int64(1), 2) == 3
+    assert lat.index(np.array([3], dtype=np.uint8)).tolist() == [lat.index(3)]
 
 
 @given(SMALL_CONFIGS, st.data())

@@ -2,15 +2,24 @@
 
 from itertools import accumulate, combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_routes import maximal_chains, poset_from_cover_relations
+from reference_routes import (
+    antichain_tower,
+    flag_f_vector_by_rank_sets,
+    maximal_chains,
+    poset_from_cover_relations,
+    subset_sums_by_loop,
+)
 
 from crosslat.crosslattice import CrossSectionLattice
 from crosslat.errors import BasisMismatchError, CompositionError
 from crosslat.flags import (
+    MAX_DEGREE,
     QuasiSymFunction,
+    _subset_sums,
     flag_beta,
     flag_f_vector,
     flag_qsym,
@@ -184,3 +193,86 @@ def test_subset_transforms_match_subset_loops():
         assert list(beta.items()) == list(reference.items())
         q = flag_qsym(p)
         assert fundamental_to_monomial(q) == monomial_by_subsets(q)
+
+
+def assert_flag_routes_agree(p):
+    alpha = flag_f_vector(p)
+    assert list(alpha.items()) == list(flag_f_vector_by_rank_sets(p).items())
+    assert all(type(v) is int for v in alpha.values())
+    n = len(alpha).bit_length()
+    for sign in (1, -1):
+        assert list(_subset_sums(alpha, n, sign).items()) == \
+            list(subset_sums_by_loop(alpha, n, sign).items())
+
+
+def test_flag_counts_match_the_per_rank_set_route_on_families():
+    for kind, n_min in (("path_A", 1), ("cycle", 3)):
+        for n in range(n_min, 9):
+            g = family_graph(kind, n)
+            for j0 in range(g.full_mask + 1):
+                assert_flag_routes_agree(CrossSectionLattice(g, j0).to_poset())
+
+
+@st.composite
+def shuffled_graded_posets(draw):
+    """A bottom, antichain levels joined by random covers, and a top, with
+    the indices shuffled so that they are not in rank order."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=5))
+    levels = [[0]]
+    for size in sizes + [1]:
+        start = levels[-1][-1] + 1
+        levels.append(list(range(start, start + size)))
+    covers = set()
+    for low, high in zip(levels, levels[1:]):
+        # every element covers one below it and is covered by one above it
+        for v in high:
+            covers.add((draw(st.sampled_from(low)), v))
+        for u in low:
+            covers.add((u, draw(st.sampled_from(high))))
+        covers |= {(u, v) for u in low for v in high if draw(st.booleans())}
+    size = levels[-1][-1] + 1
+    perm = draw(st.permutations(range(size)))
+    return poset_from_cover_relations(size, [(perm[u], perm[v]) for u, v in covers])
+
+
+@given(shuffled_graded_posets())
+@settings(max_examples=60, deadline=None)
+def test_flag_counts_match_the_per_rank_set_route_on_shuffled_posets(p):
+    assert_flag_routes_agree(p)
+
+
+def test_flag_counts_on_both_sides_of_the_float64_bound():
+    # M = width^15 maximal chains: products run in float64 below 2^53 and
+    # in int64 from there, and the counts are exact either way
+    assert 11 ** 15 < 2 ** 53 <= 12 ** 15 < 16 ** 15 < 2 ** 63
+    for width in (11, 12, 16):
+        p = antichain_tower(width)
+        assert p.rank_of_top() == MAX_DEGREE
+        assert_flag_routes_agree(p)
+        assert flag_f_vector(p)[tuple(range(1, 16))] == width ** 15
+
+
+def test_subset_sums_past_int64():
+    degree = 7
+    subsets = [s for k in range(degree) for s in combinations(range(1, degree), k)]
+    values = {s: (-1) ** len(s) * 2 ** (62 + len(s)) for s in subsets}
+    for sign in (1, -1):
+        sums = _subset_sums(values, degree, sign)
+        assert list(sums.items()) == list(subset_sums_by_loop(values, degree, sign).items())
+    # the alternating sum over the subsets of T is (-1)^|T| 2^62 3^|T|
+    assert sums[tuple(range(1, degree))] == 2 ** 62 * 3 ** 6 > 2 ** 63
+
+
+def test_quasisym_keys_are_checked_and_canonicalised():
+    for key, message in (((0,), "escapes 1..3"), ((4,), "escapes 1..3"),
+                         ((2, 2), "not strictly increasing"), ((3, 1), "not strictly increasing")):
+        with pytest.raises(CompositionError, match=message):
+            QuasiSymFunction("F", 4, {key: 1})
+    q = QuasiSymFunction("F", 4, {(np.int64(1), np.uint8(3)): 2, (np.int32(2),): 0})
+    assert q.terms() == [((1, 3), 2)]
+    assert all(type(v) is int for key, _ in q.terms() for v in key)
+    assert q == QuasiSymFunction("F", 4, {(1, 3): 2})
+    # past MAX_DEGREE there is no table, and every key is checked
+    assert QuasiSymFunction("F", 20, {(np.int64(1), 19): 1}).terms() == [((1, 19), 1)]
+    with pytest.raises(CompositionError, match="escapes 1..19"):
+        QuasiSymFunction("F", 20, {(20,): 1})

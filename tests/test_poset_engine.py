@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from reference_routes import (
     antichain_blocks,
+    antichain_tower,
     boolean_lattice_by_outer_product,
     chain_product_by_broadcast,
     classify_rank3_interval,
@@ -322,13 +323,6 @@ def test_mobius_zeta_convolution(p):
             total = sum(p.mobius(x, z) for z in range(p.size)
                         if p.leq[x, z] and p.leq[z, y])
             assert total == (1 if x == y else 0)
-
-
-def antichain_tower(width: int, levels: int = 15) -> FinitePoset:
-    """Ordinal sum of a bottom, `levels` antichains of `width` elements and a top."""
-    level = np.array([0] + [k for k in range(1, levels + 1) for _ in range(width)]
-                     + [levels + 1])
-    return FinitePoset((level[:, None] < level[None, :]) | np.eye(len(level), dtype=bool))
 
 
 def test_exact_counts_just_inside_int64():

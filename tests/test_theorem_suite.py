@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference_routes import (
     interval_mismatches_by_loop,
+    join_irreducible_by_components,
     mobius_by_node_loop,
     pair_mismatches_by_loop,
     relcomp_by_node_loop,
@@ -217,6 +218,23 @@ def test_join_irreducible_rejects_bottom():
     lat = path_lattice(3, {2})
     with pytest.raises(PreconditionError):
         join_irreducible_criterion(lat, 0)
+    with pytest.raises(PreconditionError):
+        join_irreducible_criterion(lat, np.array(lat.elements, dtype=np.uint32))
+
+
+def test_join_irreducible_array_call_matches_scalar_calls():
+    graphs = ([build_path_diagram("A", n) for n in range(1, 7)]
+              + [build_cycle_diagram(n) for n in range(3, 7)])
+    for g in graphs:
+        for j0 in range(g.full_mask + 1):
+            lat = CrossSectionLattice(g, j0)
+            masks = lat.elements[1:]
+            crit = join_irreducible_criterion(lat, np.array(masks, dtype=np.uint32))
+            assert crit.dtype == bool and crit.shape == (len(masks),)
+            scalar = [join_irreducible_criterion(lat, u) for u in masks]
+            assert all(type(v) is bool for v in scalar)
+            assert crit.tolist() == scalar == [
+                join_irreducible_by_components(lat, u) for u in masks], (g, j0)
 
 
 # -- whole-lattice criteria ---------------------------------------------------
